@@ -16,7 +16,6 @@
 use crate::formula::{Gate, MonotoneFormula};
 use crate::party::{PartyId, PartySet};
 use crate::structure::{StructureError, TrustStructure};
-use serde::{Deserialize, Serialize};
 
 /// Assignment of an attribute value (class index) to every party.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(os.num_classes(), 4);
 /// assert_eq!(os.members(1).len(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Classification {
     name: String,
     class_of: Vec<usize>,

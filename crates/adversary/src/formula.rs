@@ -11,11 +11,10 @@
 //! * the dual transformation between access and adversary views.
 
 use crate::party::{PartyId, PartySet};
-use serde::{Deserialize, Serialize};
 
 /// A node of a monotone formula: either a party leaf or a threshold gate
 /// `Θ_k^m` over `m` child formulas.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// True iff the party is in the evaluated set. A party may appear in
     /// any number of leaves.
@@ -191,7 +190,7 @@ impl std::error::Error for FormulaError {}
 /// assert!(f.eval(&s));
 /// assert!(!f.eval(&PartySet::singleton(1)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MonotoneFormula {
     n: usize,
     root: Gate,

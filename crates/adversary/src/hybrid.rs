@@ -14,7 +14,6 @@
 
 use crate::party::PartySet;
 use crate::structure::{StructureError, TrustStructure};
-use serde::{Deserialize, Serialize};
 
 /// A hybrid failure structure: Byzantine structure plus crash budget.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!h.is_tolerated(&[0, 1].into_iter().collect(), &[5].into_iter().collect()));
 /// # Ok::<(), sintra_adversary::structure::StructureError>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HybridStructure {
     byzantine: TrustStructure,
     max_crashes: usize,

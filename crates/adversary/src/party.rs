@@ -5,8 +5,6 @@
 //! [`PartySet`] bitmasks supporting up to 128 parties, far beyond any
 //! deployment the paper contemplates (its examples use 9 and 16 servers).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a server/replica, in `0..n`.
 pub type PartyId = usize;
 
@@ -25,7 +23,7 @@ pub const MAX_PARTIES: usize = 128;
 /// assert!(!s.contains(1));
 /// assert_eq!(s.len(), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PartySet {
     bits: u128,
 }

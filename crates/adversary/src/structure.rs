@@ -45,7 +45,6 @@
 
 use crate::formula::{FormulaError, MonotoneFormula};
 use crate::party::{PartySet, MAX_PARTIES};
-use serde::{Deserialize, Serialize};
 
 /// Largest `n` for which general structures enumerate maximal adversary
 /// sets from a formula eagerly (the enumeration is `O(2^n)`).
@@ -122,7 +121,7 @@ impl From<FormulaError> for StructureError {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum Kind {
     Threshold {
         t: usize,
@@ -164,7 +163,7 @@ enum Kind {
 /// assert!(ts.is_core(&[0, 1, 2].into_iter().collect())); // "n−t" rule
 /// assert!(ts.is_strong(&[0, 1, 2].into_iter().collect())); // "2t+1" rule
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrustStructure {
     n: usize,
     kind: Kind,

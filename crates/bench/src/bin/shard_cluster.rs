@@ -68,8 +68,10 @@ struct Point {
     completed: bool,
 }
 
-/// Per-frame link latency of the emulated WAN (each frame occupies its
-/// link for this long, via the chaos interposer's delay fault).
+/// Per-frame link latency of the emulated WAN: the chaos interposer's
+/// delay fault releases each frame this long after it was queued. The
+/// link keeps carrying other frames meanwhile, so this is latency, not
+/// occupancy.
 const LINK_DELAY_MS: u64 = 10;
 
 /// The SINTRA deployment the paper targets is an *Internet* one: group
@@ -79,7 +81,7 @@ const LINK_DELAY_MS: u64 = 10;
 /// group would instead saturate the host's signing budget and hide the
 /// very cost sharding parallelizes. Emulate the WAN with the chaos
 /// interposer: every frame on every link carries a deterministic
-/// [`LINK_DELAY_MS`] of link time.
+/// [`LINK_DELAY_MS`] of added latency.
 fn wan_links(seed: u64, group: usize, me: usize) -> ChaosConfig {
     let mut faults = LinkFaults::none();
     faults.delay_per_mille = 1000;

@@ -22,7 +22,6 @@ use crate::group::GroupElement;
 use crate::hash::Hasher;
 use crate::lsss::{LeafId, SharingScheme};
 use crate::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use std::collections::BTreeMap;
 
@@ -30,7 +29,7 @@ const DLEQ_DOMAIN: &str = "sintra/coin/share";
 
 /// Public parameters of the coin: the sharing scheme and per-leaf
 /// verification keys `g^{x_leaf}`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoinScheme {
     scheme: SharingScheme,
     verification: Vec<GroupElement>,
@@ -38,7 +37,7 @@ pub struct CoinScheme {
 
 /// A party's secret key material: its share components of the master
 /// secret.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoinSecretKey {
     party: PartyId,
     components: Vec<(LeafId, Scalar)>,
@@ -46,7 +45,7 @@ pub struct CoinSecretKey {
 
 /// A coin share released by one party for a specific coin name, with
 /// validity proofs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CoinShare {
     party: PartyId,
     elements: Vec<(LeafId, GroupElement, DleqProof)>,
@@ -392,7 +391,7 @@ impl CoinScheme {
 }
 
 /// The reconstructed coin value, exposing bit and integer views.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoinValue {
     digest: [u8; 32],
 }

@@ -22,12 +22,11 @@ use crate::rng::SeededRng;
 use crate::schnorr::{PublicKey, SigningKey};
 use crate::tenc::{deal_tenc, DecryptionSecretKey, EncryptionScheme};
 use crate::tsig::{deal_tsig, ThresholdSigKey, ThresholdSigScheme};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::PartyId;
 use sintra_adversary::structure::TrustStructure;
 
 /// Everything public about an initialized system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PublicParameters {
     structure: TrustStructure,
     coin: CoinScheme,
@@ -96,7 +95,7 @@ impl PublicParameters {
 }
 
 /// One server's secret key material.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServerKeyBundle {
     party: PartyId,
     coin_key: CoinSecretKey,

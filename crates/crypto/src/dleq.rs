@@ -11,7 +11,6 @@
 use crate::field::Scalar;
 use crate::group::GroupElement;
 use crate::hash::Hasher;
-use serde::{Deserialize, Serialize};
 
 /// A non-interactive proof that `log_g(a) = log_h(b)`.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// verification is a pair of pure group equations (`g^z = A·a^c`,
 /// `h^z = B·b^c`), which is what allows a whole quorum of proofs to be
 /// folded into a single multi-exponentiation in [`batch_verify`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DleqProof {
     pub(crate) commit_g: GroupElement,
     pub(crate) commit_h: GroupElement,

@@ -17,7 +17,6 @@
 //! discrete-log parameters but **not of production strength**.
 
 use crate::u256::U256;
-use serde::{Deserialize, Serialize};
 
 /// The safe prime `p` (256 bits) defining the ambient field of the group.
 pub const MODULUS_P: U256 = U256::from_limbs([
@@ -85,7 +84,7 @@ macro_rules! define_field {
         r1 = $r1:expr, r2 = $r2:expr, inv_exp = $inv_exp:expr
     ) => {
         $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub(crate) U256);
 
         impl $name {

@@ -14,7 +14,6 @@ use crate::field::{Fp, Scalar, MODULUS_Q};
 use crate::hash::Hasher;
 use crate::simd::{LaneElem, QuadEngine};
 use crate::u256::U256;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -68,7 +67,7 @@ fn fp_quad_engine() -> &'static QuadEngine {
 /// let y = Scalar::from_u64(30);
 /// assert_eq!(g.exp(&x).mul(&g.exp(&y)), g.exp(&(x + y)));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupElement(Fp);
 
 impl GroupElement {

@@ -25,7 +25,6 @@ use crate::field::Scalar;
 use crate::group::GroupElement;
 use crate::rng::SeededRng;
 use crate::shamir::{lagrange_at_zero, Polynomial};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::formula::{Gate, MonotoneFormula};
 use sintra_adversary::party::{PartyId, PartySet};
 use std::collections::BTreeMap;
@@ -54,7 +53,7 @@ pub type LeafId = usize;
 /// assert_eq!(scheme.reconstruct(&holders, &shares), Some(secret));
 /// assert_eq!(scheme.reconstruct(&PartySet::singleton(1), &shares), None);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SharingScheme {
     formula: MonotoneFormula,
     /// Owner of each leaf, in depth-first traversal order.

@@ -12,17 +12,16 @@ use crate::field::Scalar;
 use crate::group::GroupElement;
 use crate::hash::Hasher;
 use crate::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// A Schnorr signing key (secret scalar plus cached public key).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SigningKey {
     secret: Scalar,
     public: PublicKey,
 }
 
 /// A Schnorr public verification key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PublicKey(GroupElement);
 
 /// A Schnorr signature in commitment/response form (`R = g^w`, `z`).
@@ -32,7 +31,7 @@ pub struct PublicKey(GroupElement);
 /// can check `g^z = R · pk^c` as a group equation without recomputing
 /// `R` inside the challenge hash, so many such equations can be folded
 /// into one multi-exponentiation (see [`crate::tsig::AggregateScheme::verify_shares`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Signature {
     pub(crate) commitment: GroupElement,
     pub(crate) response: Scalar,

@@ -21,7 +21,6 @@ use crate::group::GroupElement;
 use crate::hash::{xor_keystream, Hasher};
 use crate::lsss::{LeafId, SharingScheme};
 use crate::rng::SeededRng;
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use std::collections::BTreeMap;
 
@@ -29,7 +28,7 @@ const DEM_DOMAIN: &str = "sintra/tenc/dem";
 const SHARE_DOMAIN: &str = "sintra/tenc/share";
 
 /// Public side of the threshold cryptosystem.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EncryptionScheme {
     scheme: SharingScheme,
     public_key: GroupElement,
@@ -37,14 +36,14 @@ pub struct EncryptionScheme {
 }
 
 /// A party's decryption key share components.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecryptionSecretKey {
     party: PartyId,
     components: Vec<(LeafId, Scalar)>,
 }
 
 /// A TDH2 ciphertext with label and well-formedness proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ciphertext {
     data: Vec<u8>,
     label: Vec<u8>,
@@ -148,7 +147,7 @@ impl Ciphertext {
 }
 
 /// One party's decryption share with validity proofs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecryptionShare {
     party: PartyId,
     ciphertext_digest: [u8; 32],

@@ -30,12 +30,11 @@ use crate::field::Scalar;
 use crate::group::GroupElement;
 use crate::rng::SeededRng;
 use crate::schnorr::{PublicKey, Signature, SigningKey};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_adversary::structure::TrustStructure;
 
 /// Which generalized quorum a combined signature must certify.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QuorumRule {
     /// Signer set not corruptible (the "`t+1`" rule) — proves at least
     /// one honest party signed.
@@ -49,21 +48,21 @@ pub enum QuorumRule {
 }
 
 /// Public verification side of the threshold signature scheme.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThresholdSigScheme {
     structure: TrustStructure,
     pubkeys: Vec<PublicKey>,
 }
 
 /// A party's signing key for the threshold scheme.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThresholdSigKey {
     party: PartyId,
     key: SigningKey,
 }
 
 /// One party's signature share.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SignatureShare {
     party: PartyId,
     signature: Signature,
@@ -107,7 +106,7 @@ impl SignatureShare {
 
 /// A combined threshold signature: the signer set and their signatures
 /// (ordered by ascending party id).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThresholdSignature {
     signers: PartySet,
     signatures: Vec<Signature>,

@@ -13,8 +13,6 @@
 // Limb arithmetic reads clearest with explicit indices.
 #![allow(clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
-
 /// A 256-bit unsigned integer stored as four little-endian 64-bit limbs.
 ///
 /// # Examples
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sum, U256::from_u64(12));
 /// assert!(!carry);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct U256 {
     limbs: [u64; 4],
 }

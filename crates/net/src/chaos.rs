@@ -29,9 +29,11 @@
 //! * **Reset** closes the connection *before* the frame is written; the
 //!   frame survives and is retransmitted after redial. Unbudgeted —
 //!   resets cost latency, not delivery.
-//! * **Delay** sleeps the writer a bounded random interval, modeling a
-//!   slow link; **throttle** bounds the link's bytes/ms after every
-//!   write. Both reorder nothing by themselves.
+//! * **Delay** releases the frame a bounded random interval after it
+//!   was queued, modeling link latency; later frames queue behind it
+//!   (FIFO), but the link is not occupied meanwhile. **Throttle**
+//!   mutes the link after every write long enough to bound its
+//!   bytes/ms. Both reorder nothing by themselves.
 //! * **Reorder** holds a frame back and releases it after the next
 //!   frame passes — a genuine inversion on the wire, not just jitter.
 //! * **Partitions** ([`Partition`]) cut links crossing a group boundary
@@ -178,22 +180,22 @@ impl ChaosCounters {
     }
 }
 
-/// What a writer must do with one queued frame after the interposer
-/// rolled its faults: optionally tear the connection down first, sleep
-/// `delay`, then write `frames` in order (empty if the frame was
-/// dropped or held for reordering).
+/// What the sender must do with one queued frame after the interposer
+/// rolled its faults: optionally tear the connection down first, hold
+/// the frames back for `delay`, then write `frames` in order (empty if
+/// the frame was dropped or held for reordering).
 #[derive(Debug)]
 pub struct FramePlan {
     /// Close the current connection (and redial) before writing.
     pub reset_first: bool,
-    /// Sleep this long before writing (link latency).
+    /// Release the frames this long after now (link latency).
     pub delay: Option<Duration>,
     /// Frames to put on the wire, in order.
     pub frames: Vec<Vec<u8>>,
 }
 
 /// The per-link interposer: owns the link's seeded generator, fault
-/// budgets, and reorder slot. Owned by one writer thread — decisions
+/// budgets, and reorder slot. Owned by the node's event loop — decisions
 /// are drawn per frame in queue order, which makes the fault sequence
 /// a pure function of `(seed, me, peer)`.
 #[derive(Debug)]
@@ -248,7 +250,7 @@ impl LinkChaos {
     }
 
     /// Whether any fault besides partitions is configured (if not, the
-    /// writer may keep its coalescing fast path).
+    /// sender may keep its coalescing fast path).
     pub fn frame_faults_active(&self) -> bool {
         !self.faults.is_none()
     }
@@ -258,7 +260,7 @@ impl LinkChaos {
         (self.me, self.peer)
     }
 
-    /// The throttle sleep owed after writing `bytes`, if any.
+    /// How long the link stays muted after writing `bytes`, if any.
     pub fn throttle_for(&self, bytes: usize) -> Option<Duration> {
         match self.faults.throttle_bytes_per_ms {
             0 => None,

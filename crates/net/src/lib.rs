@@ -17,8 +17,11 @@
 //!   adaptive strategies with full view of message contents. Runs replay
 //!   bit-identically from a seed, which is what the experiment harness
 //!   needs.
-//! * [`thread_runtime`] — the same automata on real OS threads with
-//!   jittered routing, for integration tests under genuine concurrency.
+//! * [`tcp_runtime`] — the same automata over real loopback or
+//!   multi-process TCP sockets, one OS thread per node plus one epoll
+//!   event loop ([`reactor`]) driving that node's sockets. This is the
+//!   only TCP transport; it targets Linux on x86_64 and aarch64
+//!   ([`sys`]).
 //!
 //! Protocols are written once against the [`protocol::Protocol`]
 //! automaton trait and run unchanged under both.
@@ -33,7 +36,6 @@ pub mod shard;
 pub mod sim;
 pub mod sys;
 pub mod tcp_runtime;
-pub mod thread_runtime;
 
 pub use campaign::{
     replay_case, run_campaign, BehaviorKind, CampaignHooks, CampaignPlan, CampaignReport, CaseId,
@@ -48,8 +50,6 @@ pub use sim::{
     PartitionScheduler, RandomScheduler, Scheduler, SimStats, Simulation, TargetedDelayScheduler,
 };
 pub use tcp_runtime::{
-    run_tcp, run_tcp_node, run_tcp_node_driven, run_tcp_observed, run_tcp_observed_with,
-    run_tcp_with, HandshakeError, LinkState, TcpNodeConfig, TcpNodeReport, TcpRuntime,
-    DEFAULT_QUEUE_BYTES,
+    run_tcp, run_tcp_node, run_tcp_node_driven, run_tcp_observed, HandshakeError, LinkState,
+    TcpNodeConfig, TcpNodeReport, ThreadRunReport, DEFAULT_QUEUE_BYTES,
 };
-pub use thread_runtime::{run_threaded, ThreadRunReport};

@@ -7,7 +7,7 @@
 //! exactly the asynchronous model of §2.2: correctness must hold under
 //! every message schedule, so the same automaton code runs unchanged
 //! under the deterministic simulator (with any adversarial scheduler)
-//! and under the real-thread runtime.
+//! and over real sockets under the TCP runtime.
 //!
 //! The single concession to non-asynchronous designs is
 //! [`Protocol::on_tick`], a no-op by default, which lets the
@@ -33,7 +33,7 @@ pub struct Context {
     /// Number of parties in the group.
     pub n: usize,
     /// Current simulator step (or a wall-clock ns reading under the
-    /// thread runtime); 0 when the runtime has no notion of time yet.
+    /// TCP runtime); 0 when the runtime has no notion of time yet.
     pub at: u64,
     /// This node's observability handle (disabled ⇒ all recording is a
     /// no-op).

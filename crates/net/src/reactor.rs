@@ -1,8 +1,8 @@
-//! Nonblocking epoll reactor runtime: the thread-per-peer transport's
-//! replacement for meshes where O(n) blocked threads per node is real
-//! money (`shard_cluster` runs G·n replicas in one process — at G=4,
-//! n=16 the threaded runtime is thousands of OS threads; the reactor
-//! is one event-loop thread per replica, total).
+//! Nonblocking epoll reactor: the TCP transport under every node loop
+//! in [`crate::tcp_runtime`]. One event-loop thread per replica drives
+//! all of that replica's sockets, so thread count stays O(1) per node
+//! regardless of mesh size (`shard_cluster` runs G·n replicas in one
+//! process).
 //!
 //! ## Ownership rules
 //!
@@ -10,11 +10,12 @@
 //! buffer pool, and every per-peer state machine. Other threads
 //! interact through two narrow edges only:
 //!
-//! * outbound: the protocol thread pushes framed bytes into the same
-//!   bounded drop-oldest [`Lane`]s the threaded runtime uses, then
-//!   rings an eventfd doorbell; the loop drains lanes from inside.
-//! * inbound: the loop decodes frames and sends them up a crossbeam
-//!   channel; `recv_timeout` on the mesh handle is unchanged.
+//! * outbound: the protocol thread pushes framed bytes into bounded
+//!   drop-oldest `Lane`s, then rings an eventfd doorbell; the loop
+//!   drains lanes from inside.
+//! * inbound: the loop decodes frames and sends them up an
+//!   `std::sync::mpsc` channel that the node loop polls with
+//!   `recv_timeout`.
 //!
 //! That single-owner rule is what lets every socket run nonblocking
 //! without locks: there is no state a readiness callback could race.
@@ -22,28 +23,26 @@
 //! ## Per-peer outbound state machine
 //!
 //! Idle → Connecting → Up, with Down recorded in the shared
-//! [`LinkSupervisor`] exactly as the threaded writer does it. Dials
-//! are nonblocking (`SOCK_NONBLOCK` + `EINPROGRESS`, see
-//! [`crate::sys`]) with a hard [`DIAL_TIMEOUT`] deadline and the same
-//! jittered exponential backoff; a completed dial queues the 8-byte
-//! handshake as the first wire item. Inbound connections mirror the
-//! acceptor: handshake with deadline, then framed reads; a fresh
-//! handshake from a peer evicts that peer's previous connection — the
-//! reactor-native form of reader reaping (no thread can leak by
-//! construction, but the fd would linger).
+//! `LinkSupervisor`. Dials are nonblocking (`SOCK_NONBLOCK` +
+//! `EINPROGRESS`, see [`crate::sys`]) with a hard `DIAL_TIMEOUT`
+//! deadline and jittered exponential backoff; a completed dial queues
+//! the 8-byte handshake as the first wire item. Inbound connections
+//! handshake under a deadline, then carry framed reads; a fresh
+//! handshake from a peer evicts that peer's previous connection, so a
+//! flapping peer cannot accumulate fds.
 //!
 //! ## How chaos interposes on a nonblocking write path
 //!
-//! The threaded writer *sleeps* for chaos delays and throttles; an
-//! event loop must never sleep. Instead each planned frame carries a
-//! release instant: delayed frames sit in a per-peer deferred queue
-//! (released in FIFO order — a later frame is never released before
-//! an earlier one), throttles set a per-peer mute-until instant, and
+//! An event loop must never sleep, so chaos delays and throttles are
+//! timers, not pauses. Each planned frame carries a release instant:
+//! delayed frames sit in a per-peer deferred queue (released in FIFO
+//! order — a later frame is never released before an earlier one), so
+//! a delay fault adds latency to its frame without occupying the link
+//! meanwhile. Throttles set a per-peer mute-until instant, and
 //! partitions simply close the socket and stop draining the lane, so
-//! frames wait under the lane's bounded drop-oldest policy exactly as
-//! on the threaded path. Fault *decisions* still come from
-//! [`LinkChaos::plan`] in lane order, so the fault sequence for a
-//! given `(seed, me, peer)` is identical across runtimes.
+//! frames wait under the lane's bounded drop-oldest policy. Fault
+//! *decisions* come from [`LinkChaos::plan`] in lane order, so the
+//! fault sequence for a given `(seed, me, peer)` is reproducible.
 //!
 //! ## Zero-copy inbound decode
 //!
@@ -65,7 +64,6 @@ use crate::tcp_runtime::{
     BACKOFF_MIN, COALESCE_BYTES, DIAL_TIMEOUT, HANDSHAKE_DEADLINE, HEARTBEAT_EVERY, MAGIC,
 };
 use bytes::{BufPool, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sintra_adversary::party::PartyId;
 use sintra_crypto::rng::SeededRng;
 use std::collections::VecDeque;
@@ -73,6 +71,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsFd, OwnedFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,9 +110,8 @@ struct SharedStats {
     parked: AtomicBool,
 }
 
-/// The reactor-backed mesh handle: API-identical to the threaded
-/// `TcpMesh`, so the node loops dispatch to either through
-/// [`crate::tcp_runtime::Mesh`] without caring which is underneath.
+/// One replica's view of the mesh: an inbox fed by the event loop, a
+/// bounded outbound lane per peer, and a link supervisor per peer.
 pub(crate) struct ReactorMesh<M> {
     me: PartyId,
     epoch: Instant,
@@ -144,7 +142,7 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
     ) -> io::Result<ReactorMesh<M>> {
         let n = addrs.len();
         let epoch = Instant::now();
-        let (inbox_tx, inbox_rx) = unbounded::<(PartyId, M)>();
+        let (inbox_tx, inbox_rx) = channel::<(PartyId, M)>();
         let stats = Arc::new(SharedStats::default());
         let outbound_dropped = Arc::new(AtomicU64::new(0));
         let lane_poisoned = Arc::new(AtomicU64::new(0));
@@ -192,8 +190,8 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
                 next_dial: Instant::now(),
                 last_write: Instant::now(),
                 throttle_until: Instant::now(),
-                // Same decorrelation as the threaded writer: seeded off
-                // the pid so survivors of a crash don't redial a
+                // Jitter decorrelates *processes*, not replays: seeded
+                // off the pid so survivors of a crash don't redial a
                 // restarted replica in lockstep.
                 jitter: SeededRng::new(
                     (std::process::id() as u64) << 32 | ((me as u64) << 16) | peer as u64,
@@ -286,6 +284,12 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
         &self.supervisors
     }
 
+    /// The outbound lane to `peer` (the lane-contract tests inspect it).
+    #[cfg(test)]
+    pub(crate) fn lane(&self, peer: PartyId) -> &Arc<Lane> {
+        self.lanes[peer].as_ref().expect("remote peer")
+    }
+
     /// Flushes and tears down: lanes close, the loop drains what it
     /// can within a bounded grace, every socket closes (peers see
     /// EOF), and the loop thread is joined.
@@ -316,9 +320,8 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
 }
 
 /// One wire item: bytes that must reach the peer contiguously
-/// (a frame, the handshake preamble, or a heartbeat). `counted` keeps
-/// byte accounting identical to the threaded runtime, which tallies
-/// data frames only.
+/// (a frame, the handshake preamble, or a heartbeat). `counted` marks
+/// data frames, the only bytes the `bytes_sent` tally includes.
 struct WireItem {
     buf: Vec<u8>,
     counted: bool,
@@ -625,7 +628,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
             ReadVerdict::KeepOpen => {}
             ReadVerdict::Close => {
                 // Dying before the preamble completes is a truncated
-                // handshake — counted, like the threaded acceptor.
+                // handshake — counted like any other reject.
                 if peer.is_none() && fresh.is_none() {
                     self.stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
                 }
@@ -803,7 +806,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
             .sum::<usize>()
             .saturating_sub(o.woff);
         if o.raw.is_empty() && o.deferred.is_empty() && pending < COALESCE_BYTES {
-            let (frames, _) = o.lane.pop_batch(COALESCE_BYTES, Duration::ZERO);
+            let (frames, _) = o.lane.pop_batch(COALESCE_BYTES);
             o.raw.extend(frames);
         }
         let mut reset = false;
@@ -830,7 +833,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
         }
         if reset && !matches!(o.state, OutState::Idle) {
             self.drop_out_socket(&mut o);
-            o.next_dial = now; // redial promptly, like the threaded reset
+            o.next_dial = now; // redial promptly after a reset
         }
         Self::release_due(&mut o, now);
 
@@ -854,7 +857,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
                     // Redial even when idle (heartbeats + link-up
                     // probes must resume on a quiet mesh); at shutdown
                     // a final dial gets pending frames out, and its
-                    // failure abandons them like the threaded writer.
+                    // failure abandons them.
                     self.start_dial(&mut o);
                 }
             }
@@ -1128,7 +1131,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
     /// nothing rolled or deferred, nothing counted half-written.
     fn drained(&mut self) -> bool {
         for o in self.outs.iter_mut().flatten() {
-            let (frames, lane_drained) = o.lane.pop_batch(usize::MAX, Duration::ZERO);
+            let (frames, lane_drained) = o.lane.pop_batch(usize::MAX);
             o.raw.extend(frames);
             if !lane_drained || o.has_undelivered() {
                 return false;

@@ -18,10 +18,16 @@
 //! File descriptors are carried as [`OwnedFd`]/[`BorrowedFd`]
 //! (`std::os::fd`), so closing is std's job and nothing here leaks on
 //! early return. Only `x86_64` and `aarch64` Linux are supported —
-//! the only targets this repo builds for; [`crate::reactor`] is gated
-//! on the same cfg.
+//! the only targets this repo builds for — and any other target fails
+//! to compile here rather than issue wrong syscall numbers at run time.
 
 #![allow(clippy::cast_possible_wrap)]
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("sintra-net's TCP transport supports only Linux on x86_64 or aarch64");
 
 use std::io;
 use std::net::SocketAddr;

@@ -2,19 +2,20 @@
 //!
 //! The paper's deployment target (§2.1) is n servers connected by an
 //! *asynchronous point-to-point network* — the open Internet. The
-//! deterministic simulator and the crossbeam thread runtime substitute
-//! for that network in tests; this module closes the last gap by
-//! running the automata over genuine `TcpStream`s with length-prefixed
-//! binary frames (see [`crate::codec`]), so a message must actually
-//! survive serialization, the kernel socket buffers, and a hostile
-//! peer's framing before a protocol acts on it.
+//! deterministic simulator substitutes for that network in most tests;
+//! this module closes the last gap by running the automata over genuine
+//! TCP sockets with length-prefixed binary frames (see
+//! [`crate::codec`]), so a message must actually survive serialization,
+//! the kernel socket buffers, and a hostile peer's framing before a
+//! protocol acts on it. The sockets themselves are driven by one epoll
+//! event loop per node ([`crate::reactor`]); this module holds what the
+//! node loop and the event loop share, and the node loops themselves.
 //!
 //! Two entry points:
 //!
-//! * [`run_tcp`] / [`run_tcp_observed`] — in-process harness mirroring
-//!   [`run_threaded`](crate::thread_runtime::run_threaded): n nodes on
-//!   ephemeral loopback ports, one OS thread per node plus the mesh's
-//!   I/O threads, a stop predicate over the global outputs.
+//! * [`run_tcp`] / [`run_tcp_observed`] — in-process harness: n nodes
+//!   on ephemeral loopback ports, one OS thread per node plus its event
+//!   loop, a stop predicate over the global outputs.
 //! * [`run_tcp_node`] / [`run_tcp_node_driven`] — a *single* replica
 //!   given explicit peer addresses, for true multi-process deployments
 //!   (each OS process runs one replica; see `bench`'s `tcp_cluster`
@@ -29,22 +30,21 @@
 //! with an 8-byte handshake (`magic ‖ sender id`, both u32 BE); frames
 //! are `u32` BE length + body, capped at [`MAX_FRAME`]; a zero length
 //! is an idle heartbeat, not a message. Outbound frames pass through a
-//! *bounded* per-peer queue (drop-oldest past a byte cap, counted as
+//! *bounded* per-peer `Lane` (drop-oldest past a byte cap, counted as
 //! `tcp_outbound_dropped`, so a crashed peer cannot grow sender memory
-//! without limit) drained by a writer thread that coalesces queued
-//! frames into a single `write_all`, connects lazily with jittered
-//! exponential backoff (peers boot — and restart — at different
-//! times), and reconnects on write failure without losing the batch in
-//! hand. Malformed inbound traffic — bad magic, absurd lengths, bodies
-//! that fail to decode — kills that connection only; the counters
-//! record what was seen either way.
+//! without limit) that the event loop drains in coalesced batches; it
+//! connects lazily with jittered exponential backoff (peers boot — and
+//! restart — at different times) and retries a batch whole after a
+//! failed write. Malformed inbound traffic — bad magic, absurd lengths,
+//! bodies that fail to decode — kills that connection only; the
+//! counters record what was seen either way.
 //!
 //! ## Supervision
 //!
 //! Every outbound link runs a small state machine
-//! (Connecting → Up ⇄ Degraded → Down): the writer owns the
-//! connectivity transitions, readers stamp a last-heard clock that
-//! idle heartbeats keep fresh, and the node loop derives Degraded from
+//! (Connecting → Up ⇄ Degraded → Down): the event loop owns the
+//! connectivity transitions and stamps a last-heard clock that idle
+//! heartbeats keep fresh, and the node loop derives Degraded from
 //! staleness, exports link gauges, and — on every completed
 //! dial-plus-handshake — fires
 //! [`Protocol::on_link_up_ctx`], which is how the replicated state
@@ -56,28 +56,25 @@
 //! A [`ChaosConfig`](crate::chaos::ChaosConfig) in [`TcpNodeConfig`]
 //! interposes seeded link faults (drop/garble/delay/reorder/throttle/
 //! reset and scheduled partitions — see [`crate::chaos`]) between the
-//! queue and the socket of every outbound link.
+//! lane and the socket of every outbound link.
 //!
-//! Per-direction byte counters are plain atomics that I/O threads
-//! update and the node thread folds into its [`Obs`] metrics at exit
+//! Per-direction byte counters are plain atomics that the event loop
+//! updates and the node thread folds into its [`Obs`] metrics at exit
 //! (`net.tcp_bytes_sent` / `net.tcp_bytes_recv`), honoring the flight
 //! recorder's single-writer contract — sockets never touch the
 //! recorder directly.
 
-use crate::chaos::{ChaosConfig, ChaosCounters, LinkChaos};
-use crate::codec::{encode_frame, WireCodec, MAX_FRAME};
+use crate::chaos::ChaosConfig;
+use crate::codec::{WireCodec, MAX_FRAME};
 use crate::protocol::{Context, Effects, Protocol};
-use crate::thread_runtime::ThreadRunReport;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crate::reactor::ReactorMesh;
 use sintra_adversary::party::PartyId;
-use sintra_crypto::rng::SeededRng;
 use sintra_obs::{Layer, MetricsSnapshot, Obs};
 use std::collections::VecDeque;
-use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Handshake magic ("SNTR"): rejects strays that are not a sintra peer.
@@ -130,13 +127,14 @@ pub(crate) fn parse_handshake(hs: &[u8; 8], n: usize) -> Result<PartyId, Handsha
     Ok(claimed as usize)
 }
 
-/// Writer threads coalesce queued frames up to this many bytes per
-/// syscall.
+/// The event loop pulls queued frames from a lane up to this many
+/// bytes at a time and coalesces them into vectored writes.
 pub(crate) const COALESCE_BYTES: usize = 64 * 1024;
 
-/// Node-loop granularity: inbox poll timeout and tick period, matching
-/// the thread runtime so tick-counted protocol timeouts behave the
-/// same on both runtimes.
+/// Node-loop granularity: inbox poll timeout and tick period.
+/// Tick-driven logic (fdabc suspect timers, optimistic fallback
+/// timeouts, ABC lookahead) counts ticks, not wall time, so the exact
+/// period only scales those protocols' timeouts.
 pub(crate) const TICK_EVERY: Duration = Duration::from_millis(5);
 
 /// Default per-peer outbound queue cap. Roomy next to [`MAX_FRAME`]
@@ -144,11 +142,12 @@ pub(crate) const TICK_EVERY: Duration = Duration::from_millis(5);
 /// Down for minutes costs megabytes, not gigabytes.
 pub const DEFAULT_QUEUE_BYTES: usize = 4 * 1024 * 1024;
 
-/// How long the accept loop waits for a dialer's 8-byte handshake
+/// How long the event loop waits for a dialer's 8-byte handshake
 /// before dropping the connection as [`HandshakeError::Truncated`].
 pub(crate) const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// An idle writer sends a zero-length heartbeat frame at this period so
+/// An idle outbound link sends a zero-length heartbeat frame at this
+/// period so
 /// the receiving side's staleness detector has something to hear.
 pub(crate) const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
@@ -157,57 +156,19 @@ pub(crate) const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 const STALE_AFTER_MS: u64 = 1_000;
 
 /// Hard deadline on a single outbound dial attempt. Without one, a
-/// blackholed peer (SYN silently dropped — no RST) parks the blocking
-/// `connect` for the kernel's SYN-retry schedule (minutes), during
-/// which the jittered backoff never runs and the link never degrades.
+/// blackholed peer (SYN silently dropped — no RST) holds the connect
+/// open for the kernel's SYN-retry schedule (minutes), during which
+/// the jittered backoff never runs and the link never degrades.
 pub(crate) const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Reconnect backoff bounds (the actual sleep is jittered ±50%).
 pub(crate) const BACKOFF_MIN: Duration = Duration::from_millis(10);
 pub(crate) const BACKOFF_MAX: Duration = Duration::from_millis(500);
 
-/// Which transport implementation a TCP node runs on. Both speak the
-/// same wire protocol (handshake, frames, heartbeats) and honor the
-/// same contracts (bounded lanes, supervision, chaos interposition),
-/// so meshes of mixed runtimes interoperate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TcpRuntime {
-    /// One writer thread per peer plus one detached reader per
-    /// accepted connection — simple, blocking I/O.
-    #[default]
-    Threaded,
-    /// A single epoll event loop per node driving every socket
-    /// nonblocking (see [`crate::reactor`]) — O(1) threads per node
-    /// regardless of mesh size.
-    Reactor,
-}
-
-impl std::str::FromStr for TcpRuntime {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(TcpRuntime::Threaded),
-            "reactor" => Ok(TcpRuntime::Reactor),
-            other => Err(format!("unknown runtime {other:?} (threaded|reactor)")),
-        }
-    }
-}
-
-impl core::fmt::Display for TcpRuntime {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            TcpRuntime::Threaded => "threaded",
-            TcpRuntime::Reactor => "reactor",
-        })
-    }
-}
-
 /// Where a supervised outbound link stands. Transitions are advisory
 /// timing signals (the asynchronous model admits no failure
-/// detectors): Connecting/Up/Down are owned by the link's writer
-/// thread, Degraded is derived by the node loop from inbound
-/// staleness.
+/// detectors): Connecting/Up/Down are owned by the event loop,
+/// Degraded is derived by the node loop from inbound staleness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkState {
     /// Dial in progress (or first dial not attempted yet).
@@ -242,8 +203,9 @@ impl LinkState {
     }
 }
 
-/// Shared per-peer link telemetry: the writer publishes connectivity,
-/// readers stamp the last-heard clock, the node loop consumes both.
+/// Shared per-peer link telemetry: the event loop publishes
+/// connectivity and stamps the last-heard clock, the node loop
+/// consumes both.
 #[derive(Debug)]
 pub(crate) struct LinkSupervisor {
     state: AtomicU8,
@@ -285,18 +247,17 @@ impl LinkSupervisor {
 /// flat while a peer is Down — the PR-5 bounded-memory guarantee
 /// extended to the wire.
 ///
-/// Locking is *poison-tolerant*: a writer thread that panics while
-/// holding the mutex used to poison it, converting one dead link into
-/// a panic on the protocol thread's next `push` — a whole-node crash
-/// bought by a single I/O failure. Now the guard is recovered (the
-/// queue state is always consistent at every await point: byte
-/// accounting happens under the same critical section as the queue
-/// mutation), the recovery is counted in `lane_poisoned`, and the link
-/// merely stays Down until redial.
+/// Locking is *poison-tolerant*: a thread that panics while holding
+/// the mutex poisons it, and propagating that would convert one dead
+/// link into a panic on the protocol thread's next `push` — a
+/// whole-node crash bought by a single I/O failure. Instead the guard
+/// is recovered (the queue state is always consistent: byte accounting
+/// happens under the same critical section as the queue mutation), the
+/// recovery is counted in `lane_poisoned`, and the link merely stays
+/// Down until redial.
 #[derive(Debug)]
 pub(crate) struct Lane {
-    inner: std::sync::Mutex<LaneInner>,
-    cv: std::sync::Condvar,
+    inner: Mutex<LaneInner>,
     cap: usize,
     dropped: Arc<AtomicU64>,
     poisoned: Arc<AtomicU64>,
@@ -312,8 +273,7 @@ struct LaneInner {
 impl Lane {
     pub(crate) fn new(cap: usize, dropped: Arc<AtomicU64>, poisoned: Arc<AtomicU64>) -> Lane {
         Lane {
-            inner: std::sync::Mutex::new(LaneInner::default()),
-            cv: std::sync::Condvar::new(),
+            inner: Mutex::new(LaneInner::default()),
             cap: cap.max(MAX_FRAME + 4),
             dropped,
             poisoned,
@@ -347,25 +307,13 @@ impl Lane {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
-        drop(g);
-        self.cv.notify_one();
         true
     }
 
-    /// Takes up to `max_bytes` of queued frames, waiting up to
-    /// `timeout` when empty. The boolean is true once the lane is
-    /// closed *and* drained — the writer's signal to exit.
-    pub(crate) fn pop_batch(&self, max_bytes: usize, timeout: Duration) -> (Vec<Vec<u8>>, bool) {
+    /// Takes up to `max_bytes` of queued frames without waiting. The
+    /// boolean is true once the lane is closed *and* drained.
+    pub(crate) fn pop_batch(&self, max_bytes: usize) -> (Vec<Vec<u8>>, bool) {
         let mut g = self.lock();
-        if g.q.is_empty() && !g.closed && !timeout.is_zero() {
-            g = match self.cv.wait_timeout(g, timeout) {
-                Ok((guard, _)) => guard,
-                Err(e) => {
-                    self.poisoned.fetch_add(1, Ordering::Relaxed);
-                    e.into_inner().0
-                }
-            };
-        }
         let mut out = Vec::new();
         let mut taken = 0usize;
         while taken < max_bytes {
@@ -392,7 +340,6 @@ impl Lane {
 
     pub(crate) fn close(&self) {
         self.lock().closed = true;
-        self.cv.notify_all();
     }
 }
 
@@ -410,8 +357,7 @@ pub struct TcpNodeConfig {
     /// predicate holds, so peers still mid-protocol can finish.
     pub linger: Duration,
     /// `Some(capacity)` enables per-node observability (flight
-    /// recorder + metrics), as in
-    /// [`run_threaded_observed`](crate::thread_runtime::run_threaded_observed).
+    /// recorder + metrics), as in [`run_tcp_observed`].
     pub recorder_capacity: Option<usize>,
     /// Seeded link-fault schedule for this node's outbound links;
     /// `None` runs a clean network.
@@ -423,9 +369,6 @@ pub struct TcpNodeConfig {
     /// restarted onto its old port races the kernel's TIME_WAIT
     /// teardown of its predecessor's sockets.
     pub bind_retry: Duration,
-    /// Which transport implementation drives the sockets (see
-    /// [`TcpRuntime`]); both speak the same wire protocol.
-    pub runtime: TcpRuntime,
 }
 
 impl TcpNodeConfig {
@@ -441,7 +384,6 @@ impl TcpNodeConfig {
             chaos: None,
             queue_bytes: DEFAULT_QUEUE_BYTES,
             bind_retry: Duration::ZERO,
-            runtime: TcpRuntime::default(),
         }
     }
 }
@@ -464,8 +406,8 @@ pub struct TcpNodeReport<O> {
     pub handshake_rejects: u64,
     /// Frames evicted from bounded outbound queues (drop-oldest).
     pub outbound_dropped: u64,
-    /// Poisoned-lane recoveries: a writer thread died mid-lock and the
-    /// guard was recovered instead of propagating the panic. Nonzero
+    /// Poisoned-lane recoveries: a thread died mid-lock and the guard
+    /// was recovered instead of propagating the panic. Nonzero
     /// means a link failed hard but the node kept running.
     pub lane_poisoned: u64,
     /// Chaos interposer tallies: (dropped, garbled, resets, delayed,
@@ -475,8 +417,7 @@ pub struct TcpNodeReport<O> {
     pub metrics: MetricsSnapshot,
 }
 
-/// Event-loop telemetry the reactor runtime folds into its stats;
-/// all-zero on the threaded runtime.
+/// Event-loop telemetry the reactor folds into its stats.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ReactorStats {
     /// High-water mark of fds registered with epoll at once.
@@ -499,614 +440,9 @@ pub(crate) struct MeshStats {
     pub(crate) reactor: ReactorStats,
 }
 
-/// An `io::Read` adapter that charges everything read to an atomic
-/// counter, so frame reading stays oblivious to accounting.
-struct CountingReader<R> {
-    inner: R,
-    counter: Arc<AtomicU64>,
-}
-
-impl<R: io::Read> io::Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.counter.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-}
-
-/// What one read from a peer connection produced.
-enum WireEvent<M> {
-    /// A decoded message frame.
-    Msg(M),
-    /// A zero-length heartbeat frame (liveness only, nothing to
-    /// deliver).
-    Heartbeat,
-    /// Clean end-of-stream at a frame boundary.
-    Closed,
-}
-
-/// Reads one frame like [`crate::codec::read_frame`] but treats a
-/// zero length prefix as a heartbeat instead of an empty body.
-fn read_event<M: WireCodec, R: io::Read>(stream: &mut R) -> io::Result<WireEvent<M>> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match stream.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(WireEvent::Closed),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame prefix",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len == 0 {
-        return Ok(WireEvent::Heartbeat);
-    }
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_FRAME}"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let msg = M::decode_exact(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(WireEvent::Msg(msg))
-}
-
-/// Tracks, per peer, the inbound socket currently owned by a reader
-/// thread, so a fresh handshake from the same peer can `shutdown()`
-/// its predecessor (waking the old reader into an orderly exit)
-/// instead of leaking one blocked thread + fd per reconnect.
-type InboundSlots = Arc<Vec<Mutex<Option<TcpStream>>>>;
-
-/// Decrements the live-reader gauge when a reader thread exits by any
-/// path (EOF, error, poisoned inbox) — Drop makes the accounting
-/// panic-proof.
-struct ReaderGuard(Arc<AtomicU64>);
-
-impl Drop for ReaderGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One replica's view of the mesh: an inbox fed by accepted
-/// connections, a framed bounded outbound lane per peer, and a link
-/// supervisor per peer.
-pub(crate) struct TcpMesh<M> {
-    me: PartyId,
-    epoch: Instant,
-    inbox_tx: Sender<(PartyId, M)>,
-    inbox_rx: Receiver<(PartyId, M)>,
-    outbound: Vec<Option<Arc<Lane>>>,
-    supervisors: Vec<Option<Arc<LinkSupervisor>>>,
-    inbound: InboundSlots,
-    #[cfg_attr(not(test), allow(dead_code))]
-    live_readers: Arc<AtomicU64>,
-    bytes_sent: Arc<AtomicU64>,
-    bytes_recv: Arc<AtomicU64>,
-    handshake_rejects: Arc<AtomicU64>,
-    outbound_dropped: Arc<AtomicU64>,
-    lane_poisoned: Arc<AtomicU64>,
-    chaos_counters: Arc<ChaosCounters>,
-    shutdown: Arc<AtomicBool>,
-    io_threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl<M: WireCodec + Send + 'static> TcpMesh<M> {
-    /// Starts the mesh: spawns the acceptor on `listener` and one lazy
-    /// writer per peer. Returns immediately — connections establish in
-    /// the background with retry/backoff while the node already runs.
-    fn start(
-        me: PartyId,
-        addrs: &[SocketAddr],
-        listener: TcpListener,
-        chaos: Option<&ChaosConfig>,
-        queue_bytes: usize,
-    ) -> io::Result<TcpMesh<M>> {
-        let n = addrs.len();
-        let epoch = Instant::now();
-        let (inbox_tx, inbox_rx) = unbounded::<(PartyId, M)>();
-        let bytes_sent = Arc::new(AtomicU64::new(0));
-        let bytes_recv = Arc::new(AtomicU64::new(0));
-        let handshake_rejects = Arc::new(AtomicU64::new(0));
-        let outbound_dropped = Arc::new(AtomicU64::new(0));
-        let lane_poisoned = Arc::new(AtomicU64::new(0));
-        let chaos_counters = Arc::new(ChaosCounters::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let inbound: InboundSlots = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let live_readers = Arc::new(AtomicU64::new(0));
-        let mut io_threads = Vec::new();
-
-        let supervisors: Vec<Option<Arc<LinkSupervisor>>> = (0..n)
-            .map(|p| (p != me).then(|| Arc::new(LinkSupervisor::new())))
-            .collect();
-
-        // Acceptor: polls non-blocking so it can observe shutdown, and
-        // hands each handshaken connection to a reader thread.
-        listener.set_nonblocking(true)?;
-        {
-            let inbox_tx = inbox_tx.clone();
-            let bytes_recv = Arc::clone(&bytes_recv);
-            let handshake_rejects = Arc::clone(&handshake_rejects);
-            let shutdown = Arc::clone(&shutdown);
-            let supervisors = supervisors.clone();
-            let inbound = Arc::clone(&inbound);
-            let live_readers = Arc::clone(&live_readers);
-            io_threads.push(std::thread::spawn(move || {
-                accept_loop::<M>(
-                    listener,
-                    n,
-                    inbox_tx,
-                    bytes_recv,
-                    handshake_rejects,
-                    shutdown,
-                    supervisors,
-                    inbound,
-                    live_readers,
-                    epoch,
-                );
-            }));
-        }
-
-        // Writers: one per remote peer; self-sends bypass the wire.
-        let mut outbound = Vec::with_capacity(n);
-        for (peer, addr) in addrs.iter().enumerate() {
-            if peer == me {
-                outbound.push(None);
-                continue;
-            }
-            let lane = Arc::new(Lane::new(
-                queue_bytes,
-                Arc::clone(&outbound_dropped),
-                Arc::clone(&lane_poisoned),
-            ));
-            let task = WriterTask {
-                addr: *addr,
-                me,
-                lane: Arc::clone(&lane),
-                sup: Arc::clone(supervisors[peer].as_ref().expect("remote peer")),
-                chaos: chaos.map(|c| LinkChaos::new(c, me, peer, Arc::clone(&chaos_counters))),
-                epoch,
-                bytes_sent: Arc::clone(&bytes_sent),
-                shutdown: Arc::clone(&shutdown),
-                // Jitter decorrelates *processes*, not replays: seeded
-                // off the pid so n−1 survivors of a crash don't redial
-                // the restarted replica in lockstep.
-                jitter: SeededRng::new(
-                    (std::process::id() as u64) << 32 | ((me as u64) << 16) | peer as u64,
-                ),
-            };
-            io_threads.push(std::thread::spawn(move || writer_loop(task)));
-            outbound.push(Some(lane));
-        }
-
-        Ok(TcpMesh {
-            me,
-            epoch,
-            inbox_tx,
-            inbox_rx,
-            outbound,
-            supervisors,
-            inbound,
-            live_readers,
-            bytes_sent,
-            bytes_recv,
-            handshake_rejects,
-            outbound_dropped,
-            lane_poisoned,
-            chaos_counters,
-            shutdown,
-            io_threads,
-        })
-    }
-
-    /// Queues a message. Self-sends short-circuit into the inbox;
-    /// remote sends are framed here (once) and handed to the peer's
-    /// bounded lane. Returns `false` for an unroutable destination.
-    fn send(&self, to: PartyId, msg: M) -> bool {
-        if to == self.me {
-            return self.inbox_tx.send((self.me, msg)).is_ok();
-        }
-        let Some(lane) = self.outbound.get(to).and_then(|o| o.as_ref()) else {
-            return false;
-        };
-        match encode_frame(&msg) {
-            Some(frame) => lane.push(frame),
-            None => false, // exceeds MAX_FRAME: refuse at origin
-        }
-    }
-
-    /// Waits up to `timeout` for the next inbound message.
-    fn recv_timeout(&self, timeout: Duration) -> Option<(PartyId, M)> {
-        self.inbox_rx.recv_timeout(timeout).ok()
-    }
-
-    /// Flushes and tears down: writers drain their lanes, close their
-    /// sockets (peers see EOF), and are joined along with the acceptor.
-    /// Inbound sockets are shut down explicitly so their reader
-    /// threads exit promptly instead of waiting for peer EOF.
-    fn shutdown(mut self) -> MeshStats {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for lane in self.outbound.iter().flatten() {
-            lane.close();
-        }
-        for h in self.io_threads.drain(..) {
-            let _ = h.join();
-        }
-        for slot in self.inbound.iter() {
-            if let Some(s) = slot.lock().take() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-        MeshStats {
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
-            handshake_rejects: self.handshake_rejects.load(Ordering::Relaxed),
-            outbound_dropped: self.outbound_dropped.load(Ordering::Relaxed),
-            lane_poisoned: self.lane_poisoned.load(Ordering::Relaxed),
-            chaos: self.chaos_counters.snapshot(),
-            reactor: ReactorStats::default(),
-        }
-    }
-
-    /// Reader threads currently alive (flap-leak regression gauge).
-    #[cfg(test)]
-    fn live_readers(&self) -> u64 {
-        self.live_readers.load(Ordering::Relaxed)
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal: mirrors the mesh fields
-fn accept_loop<M: WireCodec + Send + 'static>(
-    listener: TcpListener,
-    n: usize,
-    inbox_tx: Sender<(PartyId, M)>,
-    bytes_recv: Arc<AtomicU64>,
-    handshake_rejects: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-    supervisors: Vec<Option<Arc<LinkSupervisor>>>,
-    inbound: InboundSlots,
-    live_readers: Arc<AtomicU64>,
-    epoch: Instant,
-) {
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                // Handshake with a deadline so a silent stray cannot
-                // park this loop's connection slot forever.
-                let _ = stream.set_read_timeout(Some(HANDSHAKE_DEADLINE));
-                let mut hs = [0u8; 8];
-                let verdict = match stream.read_exact(&mut hs) {
-                    Ok(()) => parse_handshake(&hs, n),
-                    Err(_) => Err(HandshakeError::Truncated),
-                };
-                let peer = match verdict {
-                    Ok(peer) => peer,
-                    Err(_) => {
-                        handshake_rejects.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                };
-                let _ = stream.set_read_timeout(None);
-                // Reap the previous reader for this peer: a flapping
-                // or crashed-without-close peer re-handshakes while
-                // the old reader is still parked in `read` on a dead
-                // socket. SHUT_RD wakes that reader into an orderly
-                // exit — but, unlike a full shutdown, frames already
-                // acked into the receive buffer stay readable until
-                // EOF, so frames the sender counted delivered are
-                // never discarded by the reap. A reconnect then costs
-                // a swap instead of leaking one thread + fd each time.
-                let prev = match stream.try_clone() {
-                    Ok(dup) => inbound[peer].lock().replace(dup),
-                    // A failed dup (fd exhaustion) only means this
-                    // connection cannot be reaped early; still evict
-                    // the predecessor.
-                    Err(_) => inbound[peer].lock().take(),
-                };
-                if let Some(old) = prev {
-                    let _ = old.shutdown(Shutdown::Read);
-                }
-                let inbox = inbox_tx.clone();
-                let counter = Arc::clone(&bytes_recv);
-                let sup = supervisors.get(peer).and_then(|s| s.clone());
-                live_readers.fetch_add(1, Ordering::Relaxed);
-                let guard = ReaderGuard(Arc::clone(&live_readers));
-                // Readers block on the socket and exit on EOF/error
-                // (peers close their write half at shutdown, and a
-                // replacement handshake shuts the socket down) or when
-                // the inbox is gone; they are not joined.
-                std::thread::spawn(move || {
-                    let _guard = guard;
-                    let mut counted = CountingReader {
-                        inner: stream,
-                        counter,
-                    };
-                    let touch = |sup: &Option<Arc<LinkSupervisor>>| {
-                        if let Some(sup) = sup {
-                            sup.last_rx_ms
-                                .store(epoch.elapsed().as_millis() as u64 + 1, Ordering::Relaxed);
-                        }
-                    };
-                    loop {
-                        match read_event::<M, _>(&mut counted) {
-                            Ok(WireEvent::Msg(msg)) => {
-                                touch(&sup);
-                                if inbox.send((peer, msg)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(WireEvent::Heartbeat) => touch(&sup),
-                            Ok(WireEvent::Closed) | Err(_) => return,
-                        }
-                    }
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Everything one writer thread owns.
-struct WriterTask {
-    addr: SocketAddr,
-    me: PartyId,
-    lane: Arc<Lane>,
-    sup: Arc<LinkSupervisor>,
-    chaos: Option<LinkChaos>,
-    epoch: Instant,
-    bytes_sent: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-    jitter: SeededRng,
-}
-
-fn writer_loop(mut t: WriterTask) {
-    let mut stream: Option<TcpStream> = None;
-    let mut backoff = BACKOFF_MIN;
-    // `raw` holds frames not yet rolled through the chaos interposer;
-    // `ready` holds frames that must reach the wire (survivors of a
-    // failed write are retried, never re-rolled).
-    let mut raw: VecDeque<Vec<u8>> = VecDeque::new();
-    let mut ready: Vec<Vec<u8>> = Vec::new();
-    let mut last_write = Instant::now();
-    loop {
-        // Scheduled partitions: a cut link closes and holds. Frames
-        // wait in the bounded lane (drop-oldest under pressure), so
-        // healing resumes delivery without unbounded sender memory.
-        if t.chaos
-            .as_ref()
-            .is_some_and(|c| c.cut_at(t.epoch.elapsed()))
-        {
-            if stream.take().is_some() {
-                t.sup.set(LinkState::Down);
-            }
-            if t.shutdown.load(Ordering::Relaxed) {
-                break; // don't hold teardown hostage to a window
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
-        // Pull the next batch (unless earlier frames are pending).
-        if ready.is_empty() && raw.is_empty() {
-            let (frames, drained) = t.lane.pop_batch(COALESCE_BYTES, Duration::from_millis(50));
-            if frames.is_empty() {
-                if drained {
-                    break; // lane closed and flushed: exit
-                }
-                // A frame held back for reordering must not starve
-                // when the link goes idle: with no successor coming,
-                // release it now (it already rolled its faults, so it
-                // goes straight to the write path).
-                if let Some(held) = t.chaos.as_mut().and_then(|c| c.flush_held()) {
-                    ready.push(held);
-                } else {
-                    match stream.as_mut() {
-                        // Idle: keep the peer's staleness detector fed.
-                        Some(s) => {
-                            if last_write.elapsed() >= HEARTBEAT_EVERY
-                                && !s.write_all(&0u32.to_be_bytes()).is_ok_and(|()| {
-                                    last_write = Instant::now();
-                                    true
-                                })
-                            {
-                                stream = None;
-                                t.sup.set(LinkState::Down);
-                            }
-                        }
-                        // Down and nothing queued: still redial (with
-                        // the same jittered backoff), so heartbeats
-                        // resume and a restarted peer gets its link-up
-                        // probe even on an otherwise-quiet mesh.
-                        None => {
-                            t.sup.set(LinkState::Connecting);
-                            stream = dial(t.addr, t.me);
-                            match stream {
-                                Some(_) => {
-                                    backoff = BACKOFF_MIN;
-                                    t.sup.set(LinkState::Up);
-                                    t.sup.up_epochs.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None => {
-                                    t.sup.set(LinkState::Down);
-                                    if t.shutdown.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    let nominal = backoff.as_nanos() as u64;
-                                    let sleep_ns =
-                                        nominal / 2 + t.jitter.next_below(nominal.max(1));
-                                    std::thread::sleep(Duration::from_nanos(sleep_ns));
-                                    backoff = (backoff * 2).min(BACKOFF_MAX);
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                }
-            } else {
-                raw.extend(frames);
-            }
-        }
-        // Roll link faults frame by frame, in queue order.
-        if ready.is_empty() {
-            match t.chaos.as_mut() {
-                Some(c) if c.frame_faults_active() => {
-                    let mut reset = false;
-                    while ready.is_empty() && !reset {
-                        let Some(f) = raw.pop_front() else { break };
-                        let plan = c.plan(f);
-                        if let Some(d) = plan.delay {
-                            std::thread::sleep(d);
-                        }
-                        ready.extend(plan.frames);
-                        reset = plan.reset_first;
-                    }
-                    if reset && stream.take().is_some() {
-                        t.sup.set(LinkState::Down);
-                    }
-                    if ready.is_empty() {
-                        continue; // everything dropped or held back
-                    }
-                }
-                _ => ready.extend(raw.drain(..)),
-            }
-        }
-        // Ensure a connection; peers boot (and restart) at their own
-        // pace, so dial failures back off with jitter and retry rather
-        // than dropping frames.
-        if stream.is_none() {
-            t.sup.set(LinkState::Connecting);
-            stream = dial(t.addr, t.me);
-            if stream.is_none() {
-                t.sup.set(LinkState::Down);
-                if t.shutdown.load(Ordering::Relaxed) {
-                    break; // give up; the frames are undeliverable
-                }
-                // Jittered exponential backoff (50%–150% of nominal):
-                // lockstep redials from n−1 survivors would hammer a
-                // restarting replica in synchronized waves.
-                let nominal = backoff.as_nanos() as u64;
-                let sleep_ns = nominal / 2 + t.jitter.next_below(nominal.max(1));
-                std::thread::sleep(Duration::from_nanos(sleep_ns));
-                backoff = (backoff * 2).min(BACKOFF_MAX);
-                continue;
-            }
-            backoff = BACKOFF_MIN;
-            t.sup.set(LinkState::Up);
-            t.sup.up_epochs.fetch_add(1, Ordering::Relaxed);
-        }
-        let s = stream.as_mut().expect("connected above");
-        let batch_len: usize = ready.iter().map(Vec::len).sum();
-        match write_frames(s, &ready) {
-            Ok(()) => {
-                t.bytes_sent.fetch_add(batch_len as u64, Ordering::Relaxed);
-                last_write = Instant::now();
-                ready.clear();
-                if let Some(d) = t.chaos.as_ref().and_then(|c| c.throttle_for(batch_len)) {
-                    std::thread::sleep(d);
-                }
-            }
-            // Keep the frames; reconnect on the next iteration.
-            Err(_) => {
-                stream = None;
-                t.sup.set(LinkState::Down);
-            }
-        }
-    }
-    // A frame held for reordering must not become silent loss at
-    // teardown: flush it best-effort.
-    if let Some(h) = t.chaos.as_mut().and_then(|c| c.flush_held()) {
-        if let Some(s) = stream.as_mut() {
-            let _ = s.write_all(&h);
-        }
-    }
-    t.sup.set(LinkState::Down);
-    if let Some(s) = stream {
-        let _ = s.shutdown(Shutdown::Both);
-    }
-}
-
-/// Writes a coalesced batch of frames with vectored I/O instead of
-/// copying them into one contiguous buffer — at batched-proposal rates
-/// the copy was a measurable per-round cost on the writer thread.
-/// Advances across slice boundaries manually because `write_vectored`
-/// may accept any prefix of the total.
-fn write_frames(s: &mut TcpStream, frames: &[Vec<u8>]) -> std::io::Result<()> {
-    use std::io::IoSlice;
-    // Index of the first unwritten frame and the offset into it.
-    let mut frame = 0usize;
-    let mut offset = 0usize;
-    while frame < frames.len() {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len() - frame);
-        slices.push(IoSlice::new(&frames[frame][offset..]));
-        slices.extend(frames[frame + 1..].iter().map(|f| IoSlice::new(f)));
-        let mut wrote = match s.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "peer stopped accepting bytes",
-                ));
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while frame < frames.len() {
-            let remaining = frames[frame].len() - offset;
-            if wrote < remaining {
-                offset += wrote;
-                break;
-            }
-            wrote -= remaining;
-            frame += 1;
-            offset = 0;
-        }
-    }
-    Ok(())
-}
-
-/// Dials a peer and sends the handshake. `None` on any failure.
-///
-/// The connect carries a hard deadline ([`DIAL_TIMEOUT`]): a
-/// blackholed peer (packets silently dropped, no RST — a firewalled
-/// host or a dead VM with a live route) must fail the dial in bounded
-/// time so the jittered backoff keeps running, instead of parking the
-/// writer thread on the kernel's SYN-retry schedule for minutes. The
-/// handshake write gets the same deadline for the same reason, then
-/// the socket reverts to blocking writes for the steady state.
-fn dial(addr: SocketAddr, me: PartyId) -> Option<TcpStream> {
-    let mut s = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).ok()?;
-    let _ = s.set_nodelay(true);
-    let _ = s.set_write_timeout(Some(DIAL_TIMEOUT));
-    let mut hs = [0u8; 8];
-    hs[..4].copy_from_slice(&MAGIC.to_be_bytes());
-    hs[4..].copy_from_slice(&(me as u32).to_be_bytes());
-    s.write_all(&hs).ok()?;
-    let _ = s.set_write_timeout(None);
-    Some(s)
-}
-
-/// Per-node link bookkeeping for the node loops: turns writer-side
+/// Per-node link bookkeeping for the node loops: turns event-loop
 /// up-epoch increments into `on_link_up_ctx` callbacks, derives the
 /// Degraded state from inbound staleness, and exports link gauges.
-/// Runtime-agnostic: both meshes expose the same supervisor array.
 pub(crate) struct LinkWatch {
     seen_epochs: Vec<u64>,
 }
@@ -1152,79 +488,6 @@ impl LinkWatch {
         }
         if ctx.obs.is_enabled() {
             ctx.obs.gauge_set(Layer::Net, "links_up", up);
-        }
-    }
-}
-
-/// Runtime-dispatching mesh handle: the node loops talk to this and
-/// it forwards to whichever transport the config selected. Both
-/// variants expose identical semantics (same wire protocol, same
-/// bounded lanes, same supervisor array), so everything above the
-/// mesh is runtime-oblivious.
-pub(crate) enum Mesh<M> {
-    Threaded(TcpMesh<M>),
-    Reactor(crate::reactor::ReactorMesh<M>),
-}
-
-impl<M: WireCodec + Send + 'static> Mesh<M> {
-    pub(crate) fn start(
-        runtime: TcpRuntime,
-        me: PartyId,
-        addrs: &[SocketAddr],
-        listener: TcpListener,
-        chaos: Option<&ChaosConfig>,
-        queue_bytes: usize,
-    ) -> io::Result<Mesh<M>> {
-        match runtime {
-            TcpRuntime::Threaded => Ok(Mesh::Threaded(TcpMesh::start(
-                me,
-                addrs,
-                listener,
-                chaos,
-                queue_bytes,
-            )?)),
-            TcpRuntime::Reactor => Ok(Mesh::Reactor(crate::reactor::ReactorMesh::start(
-                me,
-                addrs,
-                listener,
-                chaos,
-                queue_bytes,
-            )?)),
-        }
-    }
-
-    pub(crate) fn send(&self, to: PartyId, msg: M) -> bool {
-        match self {
-            Mesh::Threaded(m) => m.send(to, msg),
-            Mesh::Reactor(m) => m.send(to, msg),
-        }
-    }
-
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<(PartyId, M)> {
-        match self {
-            Mesh::Threaded(m) => m.recv_timeout(timeout),
-            Mesh::Reactor(m) => m.recv_timeout(timeout),
-        }
-    }
-
-    pub(crate) fn epoch(&self) -> Instant {
-        match self {
-            Mesh::Threaded(m) => m.epoch,
-            Mesh::Reactor(m) => m.epoch(),
-        }
-    }
-
-    pub(crate) fn supervisors(&self) -> &[Option<Arc<LinkSupervisor>>] {
-        match self {
-            Mesh::Threaded(m) => &m.supervisors,
-            Mesh::Reactor(m) => m.supervisors(),
-        }
-    }
-
-    pub(crate) fn shutdown(self) -> MeshStats {
-        match self {
-            Mesh::Threaded(m) => m.shutdown(),
-            Mesh::Reactor(m) => m.shutdown(),
         }
     }
 }
@@ -1312,8 +575,7 @@ where
 {
     let n = cfg.addrs.len();
     let listener = bind_with_retry(cfg)?;
-    let mesh: Mesh<P::Message> = Mesh::start(
-        cfg.runtime,
+    let mesh: ReactorMesh<P::Message> = ReactorMesh::start(
         cfg.me,
         &cfg.addrs,
         listener,
@@ -1403,29 +665,7 @@ where
     }
 
     let stats = mesh.shutdown();
-    if obs.is_enabled() {
-        obs.add(Layer::Net, "tcp_bytes_sent", stats.bytes_sent);
-        obs.add(Layer::Net, "tcp_bytes_recv", stats.bytes_recv);
-        obs.add(Layer::Net, "handshake_rejected", stats.handshake_rejects);
-        obs.add(Layer::Net, "tcp_outbound_dropped", stats.outbound_dropped);
-        obs.add(Layer::Net, "lane_poisoned", stats.lane_poisoned);
-        let (cd, cg, cr, cl, co) = stats.chaos;
-        obs.add(Layer::Net, "chaos_dropped", cd);
-        obs.add(Layer::Net, "chaos_garbled", cg);
-        obs.add(Layer::Net, "chaos_resets", cr);
-        obs.add(Layer::Net, "chaos_delayed", cl);
-        obs.add(Layer::Net, "chaos_reordered", co);
-        if cfg.runtime == TcpRuntime::Reactor {
-            obs.gauge_set(Layer::Net, "reactor_fds_peak", stats.reactor.fds_peak);
-            obs.add(Layer::Net, "reactor_wakeups", stats.reactor.wakeups);
-            obs.add(
-                Layer::Net,
-                "pool_allocations",
-                stats.reactor.pool_allocations,
-            );
-            obs.add(Layer::Net, "pool_recycles", stats.reactor.pool_recycles);
-        }
-    }
+    record_mesh_stats(&obs, &stats);
     Ok((
         TcpNodeReport {
             outputs,
@@ -1443,10 +683,57 @@ where
     ))
 }
 
+/// Folds a torn-down mesh's counters into the node's metrics.
+fn record_mesh_stats(obs: &Obs, stats: &MeshStats) {
+    if !obs.is_enabled() {
+        return;
+    }
+    obs.add(Layer::Net, "tcp_bytes_sent", stats.bytes_sent);
+    obs.add(Layer::Net, "tcp_bytes_recv", stats.bytes_recv);
+    obs.add(Layer::Net, "handshake_rejected", stats.handshake_rejects);
+    obs.add(Layer::Net, "tcp_outbound_dropped", stats.outbound_dropped);
+    obs.add(Layer::Net, "lane_poisoned", stats.lane_poisoned);
+    let (cd, cg, cr, cl, co) = stats.chaos;
+    obs.add(Layer::Net, "chaos_dropped", cd);
+    obs.add(Layer::Net, "chaos_garbled", cg);
+    obs.add(Layer::Net, "chaos_resets", cr);
+    obs.add(Layer::Net, "chaos_delayed", cl);
+    obs.add(Layer::Net, "chaos_reordered", co);
+    obs.gauge_set(Layer::Net, "reactor_fds_peak", stats.reactor.fds_peak);
+    obs.add(Layer::Net, "reactor_wakeups", stats.reactor.wakeups);
+    obs.add(
+        Layer::Net,
+        "pool_allocations",
+        stats.reactor.pool_allocations,
+    );
+    obs.add(Layer::Net, "pool_recycles", stats.reactor.pool_recycles);
+}
+
+/// Outcome of a [`run_tcp`] run.
+#[derive(Debug)]
+pub struct ThreadRunReport<O> {
+    /// Outputs per party, in local delivery order.
+    pub outputs: Vec<Vec<O>>,
+    /// Total messages delivered to the automata.
+    pub delivered: u64,
+    /// Messages addressed outside `0..n` and therefore not routable.
+    /// Nonzero means a protocol bug (or an injected fault) is emitting
+    /// bogus destinations.
+    pub dropped: u64,
+    /// Whether the stop predicate was satisfied (vs. timeout).
+    pub completed: bool,
+    /// Per-party metrics snapshots — empty unless the run was started
+    /// with [`run_tcp_observed`]. Wall-clock handling latencies land
+    /// in the `net.handle_ns` histogram.
+    pub metrics: Vec<MetricsSnapshot>,
+}
+
 /// Runs `nodes` against each other over loopback TCP until `stop`
-/// holds over the global output vectors or `timeout` elapses — the
-/// socket-backed mirror of
-/// [`run_threaded`](crate::thread_runtime::run_threaded).
+/// holds over the global output vectors or `timeout` elapses.
+///
+/// `inputs` are injected at the named parties as their threads start;
+/// each node runs on its own OS thread, so integration tests see
+/// genuine interleaving nondeterminism on top of real sockets.
 ///
 /// # Errors
 ///
@@ -1463,35 +750,16 @@ where
     P::Input: Send + 'static,
     P::Output: Clone + Send + 'static,
 {
-    run_tcp_observed_with(nodes, inputs, stop, timeout, None, TcpRuntime::Threaded)
+    run_tcp_observed(nodes, inputs, stop, timeout, None)
 }
 
-/// [`run_tcp`] on an explicit [`TcpRuntime`] — the parameterized entry
-/// the runtime-equivalence tests drive both transports through.
-///
-/// # Errors
-///
-/// Returns an error if binding the loopback listeners fails.
-pub fn run_tcp_with<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool,
-    timeout: Duration,
-    runtime: TcpRuntime,
-) -> io::Result<ThreadRunReport<P::Output>>
-where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec + Send + 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
-{
-    run_tcp_observed_with(nodes, inputs, stop, timeout, None, runtime)
-}
-
-/// [`run_tcp`] with per-node instrumentation (see
-/// [`run_threaded_observed`](crate::thread_runtime::run_threaded_observed));
-/// additionally folds the mesh byte counters into each node's metrics
-/// as `net.tcp_bytes_sent` / `net.tcp_bytes_recv`.
+/// [`run_tcp`] with per-node instrumentation: when
+/// `recorder_capacity` is `Some`, every node thread gets an enabled
+/// [`Obs`] whose metrics include wall-clock message-handling latency
+/// (`net.handle_ns`), per-direction message counters, and the mesh
+/// byte counters (`net.tcp_bytes_sent` / `net.tcp_bytes_recv`); the
+/// snapshots are taken after the node threads are joined, honoring the
+/// flight-recorder single-writer contract.
 ///
 /// # Errors
 ///
@@ -1502,35 +770,6 @@ pub fn run_tcp_observed<P>(
     stop: impl Fn(&[Vec<P::Output>]) -> bool,
     timeout: Duration,
     recorder_capacity: Option<usize>,
-) -> io::Result<ThreadRunReport<P::Output>>
-where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec + Send + 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
-{
-    run_tcp_observed_with(
-        nodes,
-        inputs,
-        stop,
-        timeout,
-        recorder_capacity,
-        TcpRuntime::Threaded,
-    )
-}
-
-/// [`run_tcp_observed`] on an explicit [`TcpRuntime`].
-///
-/// # Errors
-///
-/// Returns an error if binding the loopback listeners fails.
-pub fn run_tcp_observed_with<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool,
-    timeout: Duration,
-    recorder_capacity: Option<usize>,
-    runtime: TcpRuntime,
 ) -> io::Result<ThreadRunReport<P::Output>>
 where
     P: Protocol + Send + 'static,
@@ -1565,8 +804,7 @@ where
     }
 
     let mut handles = Vec::with_capacity(n);
-    for (party, mut node) in nodes.into_iter().enumerate() {
-        let listener = listeners.remove(0);
+    for ((party, mut node), listener) in nodes.into_iter().enumerate().zip(listeners) {
         let addrs = addrs.clone();
         let my_inputs = std::mem::take(&mut input_map[party]);
         let outputs = Arc::clone(&outputs);
@@ -1575,8 +813,8 @@ where
         let done = Arc::clone(&done);
         let my_obs = obs[party].clone();
         handles.push(std::thread::spawn(move || {
-            let mesh: Mesh<P::Message> =
-                match Mesh::start(runtime, party, &addrs, listener, None, DEFAULT_QUEUE_BYTES) {
+            let mesh: ReactorMesh<P::Message> =
+                match ReactorMesh::start(party, &addrs, listener, None, DEFAULT_QUEUE_BYTES) {
                     Ok(mesh) => mesh,
                     Err(_) => return,
                 };
@@ -1620,6 +858,8 @@ where
                     delivered.fetch_add(1, Ordering::Relaxed);
                     worked = true;
                 }
+                // Fire the periodic tick whether or not messages are
+                // flowing, so a busy node still observes time passing.
                 if last_tick.elapsed() >= TICK_EVERY {
                     last_tick = Instant::now();
                     node.on_tick_ctx(&ctx, &mut fx);
@@ -1632,7 +872,7 @@ where
                 if worked {
                     let outs = fx.take_outputs();
                     if !outs.is_empty() {
-                        outputs.lock()[party].extend(outs);
+                        lock_outputs(&outputs)[party].extend(outs);
                     }
                     for (to, msg) in fx.take_sends() {
                         if my_obs.is_enabled() {
@@ -1647,31 +887,14 @@ where
                     }
                 }
             }
-            let stats = mesh.shutdown();
-            if my_obs.is_enabled() {
-                my_obs.add(Layer::Net, "tcp_bytes_sent", stats.bytes_sent);
-                my_obs.add(Layer::Net, "tcp_bytes_recv", stats.bytes_recv);
-                my_obs.add(Layer::Net, "handshake_rejected", stats.handshake_rejects);
-                my_obs.add(Layer::Net, "tcp_outbound_dropped", stats.outbound_dropped);
-                my_obs.add(Layer::Net, "lane_poisoned", stats.lane_poisoned);
-                if runtime == TcpRuntime::Reactor {
-                    my_obs.gauge_set(Layer::Net, "reactor_fds_peak", stats.reactor.fds_peak);
-                    my_obs.add(Layer::Net, "reactor_wakeups", stats.reactor.wakeups);
-                    my_obs.add(
-                        Layer::Net,
-                        "pool_allocations",
-                        stats.reactor.pool_allocations,
-                    );
-                    my_obs.add(Layer::Net, "pool_recycles", stats.reactor.pool_recycles);
-                }
-            }
+            record_mesh_stats(&my_obs, &mesh.shutdown());
         }));
     }
 
     let deadline = Instant::now() + timeout;
     let mut completed = false;
     while Instant::now() < deadline {
-        if stop(&outputs.lock()) {
+        if stop(&lock_outputs(&outputs)) {
             completed = true;
             break;
         }
@@ -1681,9 +904,7 @@ where
     for h in handles {
         let _ = h.join();
     }
-    let outputs = Arc::try_unwrap(outputs)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
+    let outputs = std::mem::take(&mut *lock_outputs(&outputs));
     Ok(ThreadRunReport {
         outputs,
         delivered: delivered.load(Ordering::Relaxed),
@@ -1693,11 +914,19 @@ where
     })
 }
 
+/// Locks the shared output vectors; a node thread that panicked
+/// mid-extend leaves them consistent, so poisoning is ignored.
+fn lock_outputs<O>(outputs: &Mutex<Vec<Vec<O>>>) -> std::sync::MutexGuard<'_, Vec<Vec<O>>> {
+    outputs.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{LinkFaults, Partition};
-    use crate::codec::{CodecError, Reader};
+    use crate::codec::{encode_frame, CodecError, Reader};
+    use std::io::{Read as _, Write as _};
+    use std::net::{Shutdown, TcpStream};
 
     /// Gossip over real sockets: each node broadcasts its input; every
     /// node outputs what it hears.
@@ -1740,28 +969,56 @@ mod tests {
         s
     }
 
-    /// Starts a two-party `(sender, receiver)` mesh pair on the given
-    /// runtime — the harness the runtime-equivalence cases share.
-    fn mesh_pair(rt: TcpRuntime, chaos: Option<&ChaosConfig>) -> (Mesh<Word>, Mesh<Word>) {
+    /// Starts a mesh for party 0 whose only peer (party 1) sits at
+    /// `peer`, which the test controls.
+    fn mesh_towards(peer: SocketAddr) -> (ReactorMesh<Word>, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mesh = ReactorMesh::start(0, &[addr, peer], listener, None, DEFAULT_QUEUE_BYTES)
+            .expect("mesh");
+        (mesh, addr)
+    }
+
+    /// Starts a two-party `(sender, receiver)` mesh pair.
+    fn mesh_pair(chaos: Option<&ChaosConfig>) -> (ReactorMesh<Word>, ReactorMesh<Word>) {
         let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addrs = vec![l0.local_addr().expect("a"), l1.local_addr().expect("a")];
-        let a = Mesh::start(rt, 0, &addrs, l0, chaos, DEFAULT_QUEUE_BYTES).expect("mesh");
-        let b = Mesh::start(rt, 1, &addrs, l1, None, DEFAULT_QUEUE_BYTES).expect("mesh");
+        let a = ReactorMesh::start(0, &addrs, l0, chaos, DEFAULT_QUEUE_BYTES).expect("mesh");
+        let b = ReactorMesh::start(1, &addrs, l1, None, DEFAULT_QUEUE_BYTES).expect("mesh");
         (a, b)
     }
 
-    fn gossip_case(rt: TcpRuntime) {
+    /// An address where nothing listens: connections are refused.
+    fn refused_addr() -> SocketAddr {
+        "127.0.0.1:1".parse().expect("addr")
+    }
+
+    /// The reactor's own bookkeeping after a case: the event loop
+    /// actually ran, and it never held more fds than the listener, the
+    /// doorbell and the `conns` sockets the case can have open at once
+    /// (refused redials and dropped handshakes are closed, not leaked).
+    fn assert_reactor_accounting(stats: &MeshStats, conns: u64) {
+        assert!(stats.reactor.wakeups > 0, "the event loop actually span");
+        assert!(
+            stats.reactor.fds_peak <= 2 + conns,
+            "fd high-water mark {} exceeds listener + doorbell + {conns}",
+            stats.reactor.fds_peak
+        );
+    }
+
+    /// Four-party gossip over `run_tcp_observed`; returns each party's
+    /// metrics after checking delivery and the transport counters.
+    fn gossip_case() -> Vec<MetricsSnapshot> {
         let n = 4;
         let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
         let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64 * 3)).collect();
-        let report = run_tcp_observed_with(
+        let report = run_tcp_observed(
             nodes,
             inputs,
             move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
             Duration::from_secs(30),
             Some(128),
-            rt,
         )
         .expect("loopback sockets bind");
         assert!(report.completed, "all parties hear all four broadcasts");
@@ -1773,6 +1030,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(report.metrics.len(), n);
         let mut merged = MetricsSnapshot::default();
         for m in &report.metrics {
             merged.merge(m);
@@ -1786,22 +1044,198 @@ mod tests {
             merged.counter("net.link_up") > 0,
             "link supervisors saw connections come up"
         );
-        if rt == TcpRuntime::Reactor {
+        report.metrics
+    }
+
+    #[test]
+    fn tcp_gossip_delivers_everything() {
+        gossip_case();
+    }
+
+    #[test]
+    fn tcp_gossip_delivers_everything_on_reactor() {
+        let metrics = gossip_case();
+        let n = metrics.len() as u64;
+        for (party, m) in metrics.iter().enumerate() {
             assert!(
-                merged.counter("net.reactor_wakeups") > 0,
-                "the event loop actually span"
+                m.counter("net.reactor_wakeups") > 0,
+                "party {party}'s event loop actually span"
+            );
+            // One outbound and at most one inbound socket per remote peer.
+            let peak = m.gauges["net.reactor_fds_peak"];
+            assert!(
+                peak <= 2 + 2 * (n - 1),
+                "party {party} peaked at {peak} fds"
             );
         }
     }
 
     #[test]
-    fn tcp_gossip_delivers_everything() {
-        gossip_case(TcpRuntime::Threaded);
+    fn threaded_gossip_delivers_everything() {
+        let n = 4;
+        let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
+        let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64 * 11)).collect();
+        let report = run_tcp(
+            nodes,
+            inputs,
+            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
+            Duration::from_secs(10),
+        )
+        .expect("loopback sockets bind");
+        assert!(report.completed, "all parties hear all four broadcasts");
+        for o in &report.outputs {
+            assert!(o.len() >= n);
+        }
+        assert!(report.delivered >= (n * (n - 1)) as u64);
     }
 
     #[test]
-    fn tcp_gossip_delivers_everything_on_reactor() {
-        gossip_case(TcpRuntime::Reactor);
+    fn observed_run_collects_wall_clock_metrics() {
+        let n = 3;
+        let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
+        let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64)).collect();
+        let report = run_tcp_observed(
+            nodes,
+            inputs,
+            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
+            Duration::from_secs(10),
+            Some(256),
+        )
+        .expect("loopback sockets bind");
+        assert!(report.completed);
+        assert_eq!(report.metrics.len(), n);
+        let mut merged = MetricsSnapshot::default();
+        for m in &report.metrics {
+            merged.merge(m);
+        }
+        assert!(merged.counter("net.recv") > 0, "messages were counted");
+        assert!(
+            merged.hists["net.handle_ns"].count > 0,
+            "wall-clock handling latency was observed"
+        );
+    }
+
+    #[test]
+    fn unobserved_run_reports_empty_metrics() {
+        let nodes: Vec<Gossip> = (0..2).map(|_| Gossip).collect();
+        let report = run_tcp(
+            nodes,
+            vec![(0, 1u64)],
+            |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| !o.is_empty()),
+            Duration::from_secs(5),
+        )
+        .expect("loopback sockets bind");
+        assert!(report.metrics.iter().all(|m| m.is_empty()));
+    }
+
+    /// Broadcasts only from `on_tick`: silent until the runtime drives
+    /// time forward, like fdabc suspect timers or optimistic fallback
+    /// timeouts.
+    #[derive(Debug)]
+    struct TickBeacon {
+        armed: bool,
+        fired: bool,
+    }
+
+    impl Protocol for TickBeacon {
+        type Message = Word;
+        type Input = u64;
+        type Output = (PartyId, u64);
+
+        fn on_input(&mut self, _v: u64, _fx: &mut Effects<Word, (PartyId, u64)>) {
+            self.armed = true;
+        }
+
+        fn on_message(&mut self, from: PartyId, w: Word, fx: &mut Effects<Word, (PartyId, u64)>) {
+            fx.output((from, w.0));
+        }
+
+        fn on_tick(&mut self, fx: &mut Effects<Word, (PartyId, u64)>) {
+            if self.armed && !self.fired {
+                self.fired = true;
+                fx.broadcast(Word(99));
+            }
+        }
+    }
+
+    #[test]
+    fn tick_dependent_protocol_makes_progress_on_threads() {
+        let n = 4;
+        let nodes: Vec<TickBeacon> = (0..n)
+            .map(|_| TickBeacon {
+                armed: false,
+                fired: false,
+            })
+            .collect();
+        let report = run_tcp_observed(
+            nodes,
+            vec![(0, 1u64)],
+            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.iter().any(|&(f, _)| f == 0)),
+            Duration::from_secs(10),
+            Some(64),
+        )
+        .expect("loopback sockets bind");
+        assert!(
+            report.completed,
+            "on_tick must fire on every node thread (tick-starvation regression)"
+        );
+        let mut merged = MetricsSnapshot::default();
+        for m in &report.metrics {
+            merged.merge(m);
+        }
+        assert!(merged.counter("net.tick") > 0, "ticks were counted");
+    }
+
+    /// Sends every payload to a bogus party id; the node loop must
+    /// count the drops instead of losing them silently.
+    #[derive(Debug)]
+    struct Misaddresser;
+
+    impl Protocol for Misaddresser {
+        type Message = Word;
+        type Input = u64;
+        type Output = u64;
+
+        fn on_input(&mut self, v: u64, fx: &mut Effects<Word, u64>) {
+            fx.send(usize::MAX, Word(v));
+            fx.output(v);
+        }
+
+        fn on_message(&mut self, _from: PartyId, _w: Word, _fx: &mut Effects<Word, u64>) {}
+    }
+
+    #[test]
+    fn out_of_range_routes_are_counted_not_silent() {
+        let nodes: Vec<Misaddresser> = (0..2).map(|_| Misaddresser).collect();
+        let report = run_tcp_observed(
+            nodes,
+            vec![(0, 7u64), (1, 8u64)],
+            |outs: &[Vec<u64>]| outs.iter().all(|o| !o.is_empty()),
+            Duration::from_secs(10),
+            Some(64),
+        )
+        .expect("loopback sockets bind");
+        assert!(report.completed);
+        assert_eq!(report.dropped, 2, "both bogus destinations counted");
+        let mut merged = MetricsSnapshot::default();
+        for m in &report.metrics {
+            merged.merge(m);
+        }
+        assert_eq!(merged.counter("net.dropped_route"), 2);
+    }
+
+    #[test]
+    fn timeout_reports_incomplete() {
+        // Stop predicate never satisfied; must return by timeout.
+        let nodes: Vec<Gossip> = (0..2).map(|_| Gossip).collect();
+        let report = run_tcp(
+            nodes,
+            vec![],
+            |_: &[Vec<(PartyId, u64)>]| false,
+            Duration::from_millis(200),
+        )
+        .expect("loopback sockets bind");
+        assert!(!report.completed);
     }
 
     #[test]
@@ -1821,13 +1255,10 @@ mod tests {
         );
     }
 
-    fn garbage_handshake_case(rt: TcpRuntime) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        // Peer 1's address is never dialed in this test; port 1 refuses.
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: Mesh<Word> =
-            Mesh::start(rt, 0, &addrs, listener, None, DEFAULT_QUEUE_BYTES).expect("mesh");
+    fn garbage_handshake_case() -> MeshStats {
+        // Peer 1's address refuses: the mesh keeps redialing it in the
+        // background while it screens the inbound connections below.
+        let (mesh, addr) = mesh_towards(refused_addr());
 
         // Wrong magic: dropped, and the socket sees EOF, not a frame.
         {
@@ -1865,24 +1296,22 @@ mod tests {
             stats.handshake_rejects, 3,
             "each garbage connection counted once"
         );
+        stats
     }
 
     #[test]
     fn garbage_handshakes_are_rejected_and_counted() {
-        garbage_handshake_case(TcpRuntime::Threaded);
+        garbage_handshake_case();
     }
 
     #[test]
     fn garbage_handshakes_are_rejected_and_counted_on_reactor() {
-        garbage_handshake_case(TcpRuntime::Reactor);
+        // Four inbound connections plus one redial socket.
+        assert_reactor_accounting(&garbage_handshake_case(), 5);
     }
 
-    fn mid_handshake_case(rt: TcpRuntime) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: Mesh<Word> =
-            Mesh::start(rt, 0, &addrs, listener, None, DEFAULT_QUEUE_BYTES).expect("mesh");
+    fn mid_handshake_case() -> MeshStats {
+        let (mesh, addr) = mesh_towards(refused_addr());
 
         // Connect and vanish without a single byte.
         {
@@ -1903,7 +1332,7 @@ mod tests {
             s.write_all(&[0u8; 2]).expect("write");
             drop(s);
         }
-        // The acceptor survives all three and still serves honest peers.
+        // The listener survives all three and still serves honest peers.
         let mut s = honest_handshake(addr, 1);
         s.write_all(&encode_frame(&Word(11)).expect("fits"))
             .expect("write");
@@ -1916,33 +1345,29 @@ mod tests {
             stats.handshake_rejects, 3,
             "every aborted handshake counted"
         );
+        stats
     }
 
     #[test]
     fn mid_handshake_disconnects_are_tolerated() {
-        mid_handshake_case(TcpRuntime::Threaded);
+        mid_handshake_case();
     }
 
     #[test]
     fn mid_handshake_disconnects_are_tolerated_on_reactor() {
-        mid_handshake_case(TcpRuntime::Reactor);
+        // Four inbound connections plus one redial socket.
+        assert_reactor_accounting(&mid_handshake_case(), 5);
     }
 
-    fn silent_stray_case(rt: TcpRuntime) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: Mesh<Word> =
-            Mesh::start(rt, 0, &addrs, listener, None, DEFAULT_QUEUE_BYTES).expect("mesh");
+    fn silent_stray_case() -> MeshStats {
+        let (mesh, addr) = mesh_towards(refused_addr());
 
         // A stray that connects and stays silent: the handshake
-        // deadline (2s) must cut it loose rather than park the
-        // acceptor forever.
+        // deadline (2s) must cut it loose rather than hold its
+        // connection open forever.
         let stray = TcpStream::connect(addr).expect("connect");
-        // An honest peer dialing *behind* the stray proves the slot is
-        // freed: its frame can only be delivered after the stray is
-        // rejected, because the accept loop is single-threaded until
-        // the handshake resolves.
+        // An honest peer dialing *behind* the stray is served while the
+        // stray's clock runs: a silent connection never blocks others.
         let t = std::thread::spawn(move || {
             let mut s = honest_handshake(addr, 1);
             s.write_all(&encode_frame(&Word(23)).expect("fits"))
@@ -1951,26 +1376,26 @@ mod tests {
         });
         let got = mesh
             .recv_timeout(Duration::from_secs(10))
-            .expect("frame delivered after stray timed out");
+            .expect("frame delivered while the stray is pending");
         assert_eq!(got, (1, Word(23)));
-        // The reactor serves honest peers *while* the stray's clock
-        // runs (no serial accept), so wait out the deadline before
-        // reading the reject counter.
+        // Wait out the deadline before reading the reject counter.
         std::thread::sleep(HANDSHAKE_DEADLINE + Duration::from_millis(300));
         let stats = mesh.shutdown();
         assert_eq!(stats.handshake_rejects, 1, "silent stray counted");
         drop(stray);
         drop(t.join());
+        stats
     }
 
     #[test]
     fn handshake_timeout_rejects_silent_strays() {
-        silent_stray_case(TcpRuntime::Threaded);
+        silent_stray_case();
     }
 
     #[test]
     fn handshake_timeout_rejects_silent_strays_on_reactor() {
-        silent_stray_case(TcpRuntime::Reactor);
+        // The stray, the honest peer and one redial socket.
+        assert_reactor_accounting(&silent_stray_case(), 3);
     }
 
     #[test]
@@ -1997,10 +1422,10 @@ mod tests {
             lane.queued_bytes()
         );
         // The newest writes survive.
-        let (frames, _) = lane.pop_batch(usize::MAX, Duration::ZERO);
+        let (frames, _) = lane.pop_batch(usize::MAX);
         assert!(!frames.is_empty());
         lane.close();
-        let (rest, drained) = lane.pop_batch(usize::MAX, Duration::ZERO);
+        let (rest, drained) = lane.pop_batch(usize::MAX);
         assert!(rest.is_empty() && drained);
         assert!(!lane.push(frame), "closed lane refuses frames");
     }
@@ -2011,21 +1436,21 @@ mod tests {
         // sender keeps broadcasting. Without the bounded lane this
         // grows without limit — the eviction counter proves the cap
         // engaged and the queue stayed flat.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
         let dead = TcpListener::bind("127.0.0.1:0").expect("bind");
         let dead_addr = dead.local_addr().expect("addr");
         drop(dead); // port now refuses connections
-        let addrs = vec![addr, dead_addr];
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addrs = vec![listener.local_addr().expect("addr"), dead_addr];
         // Caps clamp up to one max frame (MAX_FRAME + 4), so the
         // effective bound here is ~1MiB; push several times that.
         let cap = 64 * 1024;
         let effective = MAX_FRAME + 4;
-        let mesh: TcpMesh<Word> = TcpMesh::start(0, &addrs, listener, None, cap).expect("mesh");
+        let mesh: ReactorMesh<Word> =
+            ReactorMesh::start(0, &addrs, listener, None, cap).expect("mesh");
         for i in 0..300_000u64 {
             assert!(mesh.send(1, Word(i)), "sends keep being accepted");
         }
-        let queued = mesh.outbound[1].as_ref().expect("lane").queued_bytes();
+        let queued = mesh.lane(1).queued_bytes();
         assert!(
             queued <= effective + MAX_FRAME + 4,
             "queue bounded at ~{effective} bytes, got {queued}"
@@ -2038,7 +1463,7 @@ mod tests {
         );
     }
 
-    fn chaos_case(rt: TcpRuntime) {
+    fn chaos_case() -> MeshStats {
         // Node 0 → node 1 under heavy budgeted loss: every frame past
         // the budgets must still arrive (garbles kill the connection,
         // so this also exercises reconnect), and the counters tally
@@ -2055,7 +1480,7 @@ mod tests {
             },
             ..ChaosConfig::default()
         };
-        let (sender, receiver) = mesh_pair(rt, Some(&chaos));
+        let (sender, receiver) = mesh_pair(Some(&chaos));
         let total = 400u64;
         for i in 0..total {
             assert!(sender.send(1, Word(i)));
@@ -2082,19 +1507,22 @@ mod tests {
         assert!(garbled > 0, "garbles happened and were counted");
         assert!(dropped <= 8 && garbled <= 8, "budgets bound the damage");
         receiver.shutdown();
+        stats
     }
 
     #[test]
     fn chaos_faults_are_survivable_and_counted() {
-        chaos_case(TcpRuntime::Threaded);
+        chaos_case();
     }
 
     #[test]
     fn chaos_faults_are_survivable_and_counted_on_reactor() {
-        chaos_case(TcpRuntime::Reactor);
+        // Resets and garbles force redials: the sender holds at most
+        // one outbound and one inbound socket at a time.
+        assert_reactor_accounting(&chaos_case(), 2);
     }
 
-    fn partition_case(rt: TcpRuntime) {
+    fn partition_case() -> MeshStats {
         // A 250ms window cutting 0|1: frames sent during the window
         // arrive only after it ends — blocked, not dropped.
         let chaos = ChaosConfig {
@@ -2106,7 +1534,7 @@ mod tests {
             }],
             ..ChaosConfig::default()
         };
-        let (sender, receiver) = mesh_pair(rt, Some(&chaos));
+        let (sender, receiver) = mesh_pair(Some(&chaos));
         let t0 = Instant::now();
         assert!(sender.send(1, Word(99)));
         let got = receiver
@@ -2118,22 +1546,23 @@ mod tests {
             waited >= Duration::from_millis(200),
             "frame held for the window, not leaked early ({waited:?})"
         );
-        sender.shutdown();
+        let stats = sender.shutdown();
         receiver.shutdown();
+        stats
     }
 
     #[test]
     fn partition_blocks_then_heals() {
-        partition_case(TcpRuntime::Threaded);
+        partition_case();
     }
 
     #[test]
     fn partition_blocks_then_heals_on_reactor() {
-        partition_case(TcpRuntime::Reactor);
+        assert_reactor_accounting(&partition_case(), 2);
     }
 
-    fn heartbeat_case(rt: TcpRuntime) {
-        let (a, b) = mesh_pair(rt, None);
+    fn heartbeat_case() -> MeshStats {
+        let (a, b) = mesh_pair(None);
         // One frame each way to establish both unidirectional links.
         assert!(a.send(1, Word(1)));
         assert!(b.send(0, Word(2)));
@@ -2156,23 +1585,24 @@ mod tests {
             after > before,
             "idle link stayed audible: {before} → {after}"
         );
-        // And the writer-side supervisor reports the link Up.
+        // And the sending side's supervisor reports the link Up.
         assert_eq!(
             a.supervisors()[1].as_ref().expect("sup").get(),
             LinkState::Up
         );
-        a.shutdown();
+        let stats = a.shutdown();
         b.shutdown();
+        stats
     }
 
     #[test]
     fn heartbeats_keep_an_idle_link_fresh() {
-        heartbeat_case(TcpRuntime::Threaded);
+        heartbeat_case();
     }
 
     #[test]
     fn heartbeats_keep_an_idle_link_fresh_on_reactor() {
-        heartbeat_case(TcpRuntime::Reactor);
+        assert_reactor_accounting(&heartbeat_case(), 2);
     }
 
     #[test]
@@ -2239,39 +1669,12 @@ mod tests {
     }
 
     #[test]
-    fn dial_fails_fast_against_blackholed_address() {
-        // The old blocking `TcpStream::connect` parked the writer
-        // thread on the kernel's SYN-retry schedule (minutes) against
-        // a blackholed peer, and the jittered backoff never ran;
-        // `connect_timeout` must bound the attempt.
-        let (addr, _victim, _fillers) = blackholed_addr();
-        let t0 = Instant::now();
-        let got = dial(addr, 0);
-        let waited = t0.elapsed();
-        assert!(got.is_none(), "blackholed dial cannot succeed");
-        assert!(
-            waited <= DIAL_TIMEOUT + Duration::from_secs(1),
-            "dial returned within its deadline ({waited:?})"
-        );
-    }
-
-    #[test]
     fn reactor_survives_blackholed_peer_and_shuts_down_promptly() {
-        // Same blackhole on the reactor path: the nonblocking connect
-        // carries its own deadline, so the event loop keeps ticking
-        // and teardown stays bounded instead of waiting on a SYN.
+        // The nonblocking connect carries its own deadline, so the
+        // event loop keeps ticking and teardown stays bounded instead
+        // of waiting on a SYN.
         let (dark, _victim, _fillers) = blackholed_addr();
-        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addrs = vec![l0.local_addr().expect("a"), dark];
-        let mesh: Mesh<Word> = Mesh::start(
-            TcpRuntime::Reactor,
-            0,
-            &addrs,
-            l0,
-            None,
-            DEFAULT_QUEUE_BYTES,
-        )
-        .expect("mesh");
+        let (mesh, _) = mesh_towards(dark);
         assert!(mesh.send(1, Word(5)), "send queues while the peer is dark");
         std::thread::sleep(Duration::from_millis(300));
         let t0 = Instant::now();
@@ -2284,63 +1687,16 @@ mod tests {
     }
 
     #[test]
-    fn flapping_peer_does_not_leak_reader_threads() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: TcpMesh<Word> =
-            TcpMesh::start(0, &addrs, listener, None, DEFAULT_QUEUE_BYTES).expect("mesh");
-        // Crash-without-close flaps: every handshake supersedes the
-        // previous connection, and the "crashed" sockets never FIN —
-        // pre-fix, each one parked a reader thread forever.
-        let mut zombies = Vec::new();
-        for _ in 0..25 {
-            zombies.push(honest_handshake(addr, 1));
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        // The newest connection still delivers.
-        let mut live = zombies.pop().expect("kept the last");
-        live.write_all(&encode_frame(&Word(9)).expect("fits"))
-            .expect("write");
-        assert_eq!(
-            mesh.recv_timeout(Duration::from_secs(10)),
-            Some((1, Word(9)))
-        );
-        // Reaping keeps the reader population flat.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let alive = mesh.live_readers();
-            if alive <= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "reader threads leaked: {alive} still alive"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        mesh.shutdown();
-    }
-
-    #[test]
     fn reactor_flapping_peer_keeps_fd_count_flat() {
-        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = l0.local_addr().expect("addr");
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: Mesh<Word> = Mesh::start(
-            TcpRuntime::Reactor,
-            0,
-            &addrs,
-            l0,
-            None,
-            DEFAULT_QUEUE_BYTES,
-        )
-        .expect("mesh");
+        let (mesh, addr) = mesh_towards(refused_addr());
+        // Crash-without-close flaps: every handshake supersedes the
+        // previous connection, and the "crashed" sockets never FIN.
         let mut zombies = Vec::new();
         for _ in 0..30 {
             zombies.push(honest_handshake(addr, 1));
             std::thread::sleep(Duration::from_millis(20));
         }
+        // The newest connection still delivers.
         let mut live = zombies.pop().expect("kept the last");
         live.write_all(&encode_frame(&Word(9)).expect("fits"))
             .expect("write");
@@ -2360,20 +1716,15 @@ mod tests {
 
     #[test]
     fn poisoned_lane_degrades_link_instead_of_panicking() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let addrs = vec![addr, "127.0.0.1:1".parse().expect("addr")];
-        let mesh: TcpMesh<Word> =
-            TcpMesh::start(0, &addrs, listener, None, DEFAULT_QUEUE_BYTES).expect("mesh");
-        let lane = Arc::clone(mesh.outbound[1].as_ref().expect("lane"));
-        // Poison the lane mutex the way a dying writer would: panic
-        // while holding the guard. The old `.expect("lane lock")`
-        // turned this into a panic on the protocol thread's next send
-        // — one dead link crashing the whole node.
-        let l2 = Arc::clone(&lane);
+        let (mesh, _) = mesh_towards(refused_addr());
+        let lane = Arc::clone(mesh.lane(1));
+        // Poison the lane mutex the way a dying thread would: panic
+        // while holding the guard. An `.expect("lane lock")` would turn
+        // this into a panic on the protocol thread's next send — one
+        // dead link crashing the whole node.
         let _ = std::thread::spawn(move || {
-            let _g = l2.inner.lock().expect("first lock");
-            panic!("simulated writer death");
+            let _g = lane.inner.lock().expect("first lock");
+            panic!("simulated lane-holder death");
         })
         .join();
         assert!(
@@ -2388,20 +1739,17 @@ mod tests {
         );
     }
 
-    // -- crash-restart rejoin (both runtimes) --------------------------
+    // -- crash-restart rejoin ------------------------------------------
 
-    fn late_peer_rejoin_case(rt: TcpRuntime) {
+    fn late_peer_rejoin_case() -> MeshStats {
         // "Crash" = nothing listening at the peer's address; "restart"
         // = a listener appears there later. The mesh must keep
         // redialing under backoff and deliver the queued frame once
         // the peer returns.
-        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let park = TcpListener::bind("127.0.0.1:0").expect("bind");
         let peer_addr = park.local_addr().expect("a");
         drop(park); // the peer is now "down"
-        let addrs = vec![l0.local_addr().expect("a"), peer_addr];
-        let mesh: Mesh<Word> =
-            Mesh::start(rt, 0, &addrs, l0, None, DEFAULT_QUEUE_BYTES).expect("mesh");
+        let (mesh, my_addr) = mesh_towards(peer_addr);
         assert!(mesh.send(1, Word(77)), "frame queues while peer is down");
         std::thread::sleep(Duration::from_millis(300)); // several failed dials
         let revived = TcpListener::bind(peer_addr).expect("rebind");
@@ -2419,32 +1767,25 @@ mod tests {
         assert_eq!(body, expect, "the pre-crash frame arrived post-restart");
         // And the restarted peer can speak back — by dialing the
         // mesh's own listener, as a real restarted replica would.
-        let mut back = honest_handshake(addrs[0], 1);
+        let mut back = honest_handshake(my_addr, 1);
         back.write_all(&encode_frame(&Word(88)).expect("fits"))
             .expect("reply");
         assert_eq!(
             mesh.recv_timeout(Duration::from_secs(10)),
             Some((1, Word(88)))
         );
-        mesh.shutdown();
+        mesh.shutdown()
     }
 
     #[test]
     fn late_peer_rejoin_delivers_queued_frames() {
-        late_peer_rejoin_case(TcpRuntime::Threaded);
+        late_peer_rejoin_case();
     }
 
     #[test]
     fn late_peer_rejoin_delivers_queued_frames_on_reactor() {
-        late_peer_rejoin_case(TcpRuntime::Reactor);
-    }
-
-    #[test]
-    fn runtime_selector_parses_and_prints() {
-        assert_eq!("threaded".parse(), Ok(TcpRuntime::Threaded));
-        assert_eq!("reactor".parse(), Ok(TcpRuntime::Reactor));
-        assert!("epoll".parse::<TcpRuntime>().is_err());
-        assert_eq!(TcpRuntime::Reactor.to_string(), "reactor");
-        assert_eq!(TcpRuntime::default(), TcpRuntime::Threaded);
+        // Failed redials are closed before the next one opens, so the
+        // outage costs one outbound socket plus the peer's dial-back.
+        assert_reactor_accounting(&late_peer_rejoin_case(), 2);
     }
 }

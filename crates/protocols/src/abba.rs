@@ -38,7 +38,6 @@
 
 use crate::common::{BatchedShares, Outbox, Tag, WireKind};
 use crate::pool::{Verdict, VerdictChannel, VerifyPool};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::coin::{CoinShare, CoinValue};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
@@ -48,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A main-vote value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MainVoteValue {
     /// Vote for 0.
     Zero,
@@ -77,7 +76,7 @@ impl MainVoteValue {
 }
 
 /// Justification attached to a pre-vote.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PreVoteJust<E> {
     /// Round 1: the party's input. In biased mode a pre-vote for 1 must
     /// carry validator-approved evidence; a pre-vote for 0 carries none.
@@ -91,7 +90,7 @@ pub enum PreVoteJust<E> {
 }
 
 /// A justified pre-vote.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PreVote<E> {
     /// Round number (1-based).
     pub round: u64,
@@ -105,7 +104,7 @@ pub struct PreVote<E> {
 }
 
 /// Justification attached to a main-vote.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MainVoteJust<E> {
     /// For a bit vote: threshold signature over a core quorum of
     /// pre-votes for that bit this round.
@@ -115,7 +114,7 @@ pub enum MainVoteJust<E> {
 }
 
 /// A justified main-vote.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MainVote<E> {
     /// Round number.
     pub round: u64,
@@ -128,7 +127,7 @@ pub struct MainVote<E> {
 }
 
 /// ABBA wire messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AbbaMessage<E> {
     /// A pre-vote.
     PreVote(PreVote<E>),

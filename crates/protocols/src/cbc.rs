@@ -17,7 +17,6 @@
 
 use crate::common::{digest, BatchedShares, Digest, Outbox, Tag, WireKind};
 use crate::pool::{Verdict, VerdictChannel, VerifyPool};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::PartyId;
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
@@ -25,7 +24,7 @@ use sintra_crypto::tsig::{QuorumRule, SignatureShare, ThresholdSignature};
 use std::sync::Arc;
 
 /// Consistent-broadcast wire messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CbcMessage {
     /// Sender's payload dissemination.
     Send(Vec<u8>),
@@ -48,7 +47,7 @@ impl WireKind for CbcMessage {
 
 /// A delivered consistent broadcast: payload plus its transferable
 /// voucher.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Voucher {
     /// The delivered payload.
     pub payload: Vec<u8>,

@@ -17,13 +17,12 @@
 //! runs under generalized adversary structures.
 
 use crate::common::{digest, Digest, Outbox, WireKind};
-use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_adversary::structure::TrustStructure;
 use std::collections::HashMap;
 
 /// Reliable-broadcast wire messages.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RbcMessage {
     /// Sender's initial dissemination.
     Send(Vec<u8>),

@@ -28,7 +28,7 @@
 //!                 │ linear secret sharing (Benaloh-Leichter), all from
 //!                 │ scratch on a 256-bit Schnorr group
 //!  ───────────────┼──────────────────────────────────────────────────
-//!  network        │ deterministic adversarial simulator + thread runtime
+//!  network        │ deterministic adversarial simulator + epoll TCP runtime
 //! ```
 //!
 //! ## Quickstart

@@ -1,12 +1,12 @@
 //! Integration under true concurrency: the same protocol automata on
-//! real OS threads with jittered routing (the paper's time-free design
+//! real OS threads over loopback TCP (the paper's time-free design
 //! means no code changes between the deterministic simulator and the
-//! threaded runtime).
+//! socket runtime).
 
 use std::time::Duration;
 
 use sintra::adversary::structure::TrustStructure;
-use sintra::net::{run_threaded, Effects, Protocol};
+use sintra::net::{run_tcp, Effects, Protocol};
 use sintra::protocols::abc::{abc_nodes, AbcDeliver};
 use sintra::protocols::fdabc::{fd_nodes, FdAbcNode, FdDeliver, FdMessage};
 use sintra::setup::dealt_system;
@@ -17,13 +17,13 @@ fn atomic_broadcast_on_threads() {
     let (public, bundles) = dealt_system(n, 1, 201).unwrap();
     let nodes = abc_nodes(public, bundles, 201);
     let inputs = vec![(0, b"threaded-a".to_vec()), (2, b"threaded-b".to_vec())];
-    let report = run_threaded(
+    let report = run_tcp(
         nodes,
         inputs,
         move |outs: &[Vec<AbcDeliver>]| outs.iter().all(|o| o.len() >= 2),
         Duration::from_secs(120),
-        202,
-    );
+    )
+    .expect("loopback sockets bind");
     assert!(report.completed, "both broadcasts delivered everywhere");
     let reference: Vec<(u64, Vec<u8>)> = report.outputs[0]
         .iter()
@@ -71,7 +71,7 @@ impl Protocol for MaybeCrashed {
     }
 }
 
-/// Regression for the tick-starved thread runtime: the failure-detector
+/// Regression for a tick-starved node loop: the failure-detector
 /// baseline's view change is driven *only* by `on_tick`, so with the
 /// view-0 coordinator crashed this test deadlocks (and times out)
 /// unless the runtime actually fires periodic ticks.
@@ -91,13 +91,13 @@ fn crashed_coordinator_is_replaced_via_ticks_on_threads() {
         })
         .collect();
     let inputs = vec![(1, b"survive-the-crash".to_vec())];
-    let report = run_threaded(
+    let report = run_tcp(
         nodes,
         inputs,
         move |outs: &[Vec<FdDeliver>]| (1..4).all(|p| !outs[p].is_empty()),
         Duration::from_secs(120),
-        203,
-    );
+    )
+    .expect("loopback sockets bind");
     assert!(
         report.completed,
         "live replicas delivered despite the crashed view-0 coordinator"
